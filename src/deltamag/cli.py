@@ -70,19 +70,15 @@ def _load_config(args) -> AnalysisConfig:
         base = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(base, dict):
             raise ValueError("analysis config must be a JSON object")
-    cfg = AnalysisConfig.from_dict(base)
     if args.fit_window is not None:
         parts = args.fit_window.split(",")
         if len(parts) != 2:
             raise ValueError("--fit-window expects BMIN,BMAX")
-        cfg = dataclasses.replace(cfg, fit_window=(float(parts[0]), float(parts[1])))
-    if args.h_min is not None:
-        cfg = dataclasses.replace(cfg, h_min=args.h_min)
-    if args.anchor is not None:
-        cfg = dataclasses.replace(cfg, anchor_T=args.anchor)
-    if args.kappa is not None:
-        cfg = dataclasses.replace(cfg, kappa=args.kappa * 1e9)
-    return cfg
+        base["fit_window_T"] = [float(parts[0]), float(parts[1])]
+    for key, value in (("h_min", args.h_min), ("anchor_T_K", args.anchor), ("kappa_nm", args.kappa)):
+        if value is not None:
+            base[key] = value
+    return AnalysisConfig.from_dict(base)
 
 
 def _cmd_synth(args) -> int:

@@ -192,6 +192,12 @@ def _pooled_points(curves, t_eff, g_factor):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(ids)
 
 
+def _bin_index(x, n_bins):
+    """Index of the equal-width bin over [min x, max x] holding each x."""
+    edges = np.linspace(x.min(), x.max(), n_bins + 1)
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
+
+
 def _pava_sse(means, weights, increasing):
     """Weighted isotonic regression by pool-adjacent-violators; returns SSE."""
     y = means if increasing else -means
@@ -240,13 +246,8 @@ def dispersion(
     span = float(x.max() - x.min())
     if span <= 0.0:
         raise ValueError("all points share one h value; no curve to collapse onto")
-    edges = np.linspace(x.min(), x.max(), n_bins + 1)
-    bin_idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
-    shared = 0
-    for b in range(n_bins):
-        members = ids[bin_idx == b]
-        if members.size and np.unique(members).size >= 2:
-            shared += 1
+    pairs = np.unique(_bin_index(x, n_bins) * len(curves) + ids)  # (bin, curve) codes
+    shared = int(np.sum(np.bincount(pairs // len(curves), minlength=n_bins) >= 2))
     if shared < min_shared_bins:
         raise ValueError(
             f"curves overlap in only {shared} of {n_bins} bins "
@@ -371,8 +372,7 @@ def collapse_teff(
         c.T_eff = float(t)
 
     x, y, _ = _pooled_points(curves, t_eff, g_factor)
-    edges = np.linspace(x.min(), x.max(), n_bins + 1)
-    bin_idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
+    bin_idx = _bin_index(x, n_bins)
     counts = np.bincount(bin_idx, minlength=n_bins)
     # bin means in both coordinates; using the mean x rather than the bin
     # center keeps the slope of linear data exact

@@ -21,28 +21,6 @@ MU_B = 9.2740100783e-24     # Bohr magneton, J/T
 G0 = E_CHARGE**2 / H_PLANCK  # conductance quantum e^2/h, S
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Bundle of the constants used by the transport models.
-
-    ``G0`` is derived from ``e`` and ``h_planck`` so the relation
-    G0 = e^2/h holds to machine precision by construction.
-    """
-
-    e: float = E_CHARGE
-    hbar: float = HBAR
-    h_planck: float = H_PLANCK
-    k_B: float = K_B
-    mu_B: float = MU_B
-    g_factor: float = 2.0
-
-    @property
-    def G0(self) -> float:
-        return self.e**2 / self.h_planck
-
-
-CONSTANTS = Constants()
-
 # unit tag -> (SI unit tag, multiplicative factor to SI)
 _UNIT_TO_SI = {
     "m": ("m", 1.0),

@@ -113,7 +113,7 @@ def wl_perp_shape(B, l_phi: float, l_mfp: float):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def wl_perp(B, p: WlParams, *, prefactor: float = 1.0):
+def wl_perp(B, p: WlParams):
     """Weak-localization correction for a perpendicular field.
 
     Delta sigma(B) = (G0/pi) [psi(1/2 + B_phi/B) - psi(1/2 + B_l/B)
@@ -128,17 +128,13 @@ def wl_perp(B, p: WlParams, *, prefactor: float = 1.0):
     B : float or array_like
         Field magnitude, T. Must be >= 0; callers fold signed sweeps with |B|.
     p : WlParams
-    prefactor : float, keyword only
-        Diagnostic multiplier on the whole correction. The physical model has
-        none; every fitting path keeps it fixed at 1. It exists so tests can
-        generate deliberately wrong curves.
 
     Returns
     -------
     float or ndarray
         Correction in S per square.
     """
-    return prefactor * (G0 / math.pi) * wl_perp_shape(B, p.l_phi, p.l_mfp)
+    return (G0 / math.pi) * wl_perp_shape(B, p.l_phi, p.l_mfp)
 
 
 def wl_inplane(B, p: InPlaneParams):

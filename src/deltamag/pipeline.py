@@ -1,7 +1,8 @@
 """Staged analysis: Hall -> WL difference fits -> power law -> collapse.
 
-Each stage consumes the previous one's output and records its own status;
-a failed stage is reported and everything downstream is marked skipped, so
+Each stage returns its report section and a typed result; later stages and
+the plot tables read those results, so every quantity is derived once. A
+failed stage is reported and everything downstream is marked skipped, so
 a partial dataset still yields a partial report. Reports render to JSON
 deterministically (sorted keys, 6 significant digits), with input hashes
 and the configuration echoed for provenance.
@@ -18,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import models
 from ._version import __version__
 from .collapse import (
     OrientedCurve,
@@ -26,17 +28,15 @@ from .collapse import (
     dispersion,
     isolate_aa,
 )
-from .constants import G0
-from .fit import Measured, fit_coherence_power_law, fit_wl_difference
+from .constants import G0, Quantity, from_si, to_si
+from .fit import Measured, WlDifferenceFit, fit_coherence_power_law, fit_wl_difference
 from .hall import (
     Geometry,
     HallSweep,
     KAPPA_DEFAULT,
+    SamplePhysics,
+    characterize,
     density_from_hall,
-    fermi_wavevector,
-    interaction_rs,
-    mean_free_path,
-    mobility,
 )
 from .sweepio import SweepRecord, parse_sweep_csv, write_plot_csv
 
@@ -47,11 +47,28 @@ class MissingDataError(ValueError):
     """The dataset lacks the sweeps a stage needs (degradation, not failure)."""
 
 
+def _number(key: str, value) -> float:
+    """A JSON number as float; anything else raises ValueError naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"config key {key!r} is out of range") from None
+
+
+def _pair(key: str, value) -> Tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"config key {key!r} must be a list of 2 numbers, got {value!r}")
+    return _number(key, value[0]), _number(key, value[1])
+
+
 @dataclass
 class AnalysisConfig:
     """Analysis options with their defaults.
 
-    kappa is in m^-1 internally; the JSON schema and CLI take nm^-1.
+    kappa is in m^-1 and the geometry in m internally; the JSON schema and
+    CLI take nm^-1 and um.
     """
 
     g_factor: float = 2.0
@@ -65,25 +82,28 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisConfig":
-        geo = d.get("geometry_um")
+        """Parse the JSON schema; unknown keys and wrong types raise ValueError."""
+        unknown = sorted(set(d) - set(cls().to_dict()))
+        if unknown:
+            raise ValueError(f"unknown analysis config key {unknown[0]!r}")
         kwargs = {}
-        if "g" in d:
-            kwargs["g_factor"] = float(d["g"])
-        if "T_c_K" in d:
-            kwargs["T_c"] = float(d["T_c_K"])
-        if "h_min" in d:
-            kwargs["h_min"] = float(d["h_min"])
+        for key, name in (("g", "g_factor"), ("T_c_K", "T_c"), ("h_min", "h_min")):
+            if key in d:
+                kwargs[name] = _number(key, d[key])
         if "fit_window_T" in d:
-            a, b = d["fit_window_T"]
-            kwargs["fit_window"] = (float(a), float(b))
+            kwargs["fit_window"] = _pair("fit_window_T", d["fit_window_T"])
         if "kappa_nm" in d:
-            kwargs["kappa"] = float(d["kappa_nm"]) * 1e9
-        if "anchor_T_K" in d and d["anchor_T_K"] is not None:
-            kwargs["anchor_T"] = float(d["anchor_T_K"])
-        if geo is not None:
-            kwargs["geometry"] = Geometry(float(geo[0]) * 1e-6, float(geo[1]) * 1e-6)
+            kappa = Quantity(_number("kappa_nm", d["kappa_nm"]), "nm^-1")
+            kwargs["kappa"] = to_si(kappa).value
+        if d.get("anchor_T_K") is not None:
+            kwargs["anchor_T"] = _number("anchor_T_K", d["anchor_T_K"])
+        if "geometry_um" in d:
+            L, W = (to_si(Quantity(x, "um")).value for x in _pair("geometry_um", d["geometry_um"]))
+            kwargs["geometry"] = Geometry(L, W)
         if "extrapolate_l_phi" in d:
-            kwargs["extrapolate_l_phi"] = bool(d["extrapolate_l_phi"])
+            if not isinstance(d["extrapolate_l_phi"], bool):
+                raise ValueError("config key 'extrapolate_l_phi' must be true or false")
+            kwargs["extrapolate_l_phi"] = d["extrapolate_l_phi"]
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -92,19 +112,24 @@ class AnalysisConfig:
             "T_c_K": self.T_c,
             "h_min": self.h_min,
             "fit_window_T": list(self.fit_window),
-            "kappa_nm": self.kappa / 1e9,
+            "kappa_nm": from_si(Quantity(self.kappa, "m^-1"), "nm^-1").value,
             "anchor_T_K": self.anchor_T,
-            "geometry_um": [self.geometry.L * 1e6, self.geometry.W * 1e6],
+            "geometry_um": [
+                from_si(Quantity(x, "m"), "um").value
+                for x in (self.geometry.L, self.geometry.W)
+            ],
             "extrapolate_l_phi": self.extrapolate_l_phi,
         }
 
 
 @dataclass
 class Dataset:
-    """All sweeps of one sample plus the analysis options."""
+    """All sweeps of one sample plus the analysis options.
+
+    The Hall-bar geometry is ``config.geometry``.
+    """
 
     sample_id: str
-    geometry: Geometry
     sweeps: List[SweepRecord]
     config: AnalysisConfig
     sources: List[Tuple[str, str]] = field(default_factory=list)  # (name, sha256)
@@ -132,13 +157,7 @@ def load_datasets(paths: Sequence, config: AnalysisConfig) -> List[Dataset]:
     for r in records:
         by_sample.setdefault(r.sample_id, []).append(r)
     return [
-        Dataset(
-            sample_id=sid,
-            geometry=config.geometry,
-            sweeps=sw,
-            config=config,
-            sources=sources,
-        )
+        Dataset(sample_id=sid, sweeps=sw, config=config, sources=sources)
         for sid, sw in sorted(by_sample.items())
     ]
 
@@ -146,9 +165,9 @@ def load_datasets(paths: Sequence, config: AnalysisConfig) -> List[Dataset]:
 def _sigma0_quadratic(B, R_xx, squares: float) -> float:
     """Zero-field conductivity from the three lowest-|B| points (Lagrange)."""
     B = np.asarray(B, dtype=float)
-    sigma = squares / np.asarray(R_xx, dtype=float)
     if B.size < 3:
         raise ValueError("need at least 3 points to extrapolate sigma0")
+    sigma = squares / np.asarray(R_xx, dtype=float)
     idx = np.argsort(np.abs(B), kind="stable")[:3]
     b, s = B[idx], sigma[idx]
     if len(set(b.tolist())) < 3:
@@ -163,41 +182,62 @@ def _sigma0_quadratic(B, R_xx, squares: float) -> float:
     return float(total)
 
 
+def _sigma0_per_sweep(ds: Dataset) -> list:
+    """Each sweep's sigma0, or the ValueError its extrapolation raised.
+
+    The error is kept, not raised: only a stage that needs that sweep fails
+    on it, and the sigma0 plot leaves the sweep out.
+    """
+    out = []
+    for s in ds.sweeps:
+        try:
+            out.append(_sigma0_quadratic(s.B, s.R_xx, ds.config.geometry.squares))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def _checked(sigma0):
+    """One entry of ``_sigma0_per_sweep``, raising it if it is an error."""
+    if isinstance(sigma0, ValueError):
+        raise sigma0
+    return sigma0
+
+
 def _measured(m: Measured) -> dict:
     return {"value": m.value, "stderr": m.stderr}
 
 
-def _hall_stage(ds: Dataset) -> dict:
-    hall_sweeps = [s for s in ds.sweeps if s.R_xy is not None and len(s.B) >= 3]
+def _hall_stage(ds: Dataset, sigma0: list) -> Tuple[dict, SamplePhysics]:
+    hall_sweeps = [
+        (s, s0) for s, s0 in zip(ds.sweeps, sigma0) if s.R_xy is not None and len(s.B) >= 3
+    ]
     if not hall_sweeps:
         raise ValueError("no sweep with Hall data (R_xy)")
-    sweep = max(hall_sweeps, key=lambda s: (s.T_bath, len(s.B)))
+    sweep, s0 = max(hall_sweeps, key=lambda p: (p[0].T_bath, len(p[0].B)))
     hs = HallSweep(
         B=sweep.B,
         R_xy=sweep.R_xy,
         R_xx=sweep.R_xx,
         T_bath=sweep.T_bath,
-        geometry=ds.geometry,
+        geometry=ds.config.geometry,
     )
     n = density_from_hall(hs)
-    sigma0 = _sigma0_quadratic(sweep.B, sweep.R_xx, ds.geometry.squares)
-    mu = mobility(n.value, sigma0)
-    k_f = fermi_wavevector(n.value)
-    l_mfp = mean_free_path(n.value, mu)
-    r_s = interaction_rs(n.value, ds.config.kappa)
+    sigma_xx = _checked(s0)
+    phys = characterize(n.value, sigma_xx, ds.config.kappa)
     rel_n = n.stderr / n.value
-    return {
-        "status": "ok",
+    section = {
         "T_K": sweep.T_bath,
         "n_points": int(len(sweep.B)),
         "n_2d_m2": _measured(n),
-        "sigma_xx_S": {"value": sigma0, "stderr": None},
-        "mobility_m2_Vs": _measured(Measured(mu, mu * rel_n)),
-        "k_f_m1": _measured(Measured(k_f, 0.5 * k_f * rel_n)),
-        "l_mfp_m": _measured(Measured(l_mfp, 0.5 * l_mfp * rel_n)),
-        "kf_l": {"value": k_f * l_mfp, "stderr": None},
-        "r_s": _measured(Measured(r_s, 0.5 * r_s * rel_n)),
+        "sigma_xx_S": {"value": sigma_xx, "stderr": None},
+        "mobility_m2_Vs": _measured(Measured(phys.mu, phys.mu * rel_n)),
+        "k_f_m1": _measured(Measured(phys.k_f, 0.5 * phys.k_f * rel_n)),
+        "l_mfp_m": _measured(Measured(phys.l_mfp, 0.5 * phys.l_mfp * rel_n)),
+        "kf_l": {"value": phys.kf_l, "stderr": None},
+        "r_s": _measured(Measured(phys.r_s, 0.5 * phys.r_s * rel_n)),
     }
+    return section, phys
 
 
 def _difference_curve(perp: SweepRecord, inpl: SweepRecord, squares: float):
@@ -205,9 +245,7 @@ def _difference_curve(perp: SweepRecord, inpl: SweepRecord, squares: float):
     key_p = {round(float(b), 9): i for i, b in enumerate(perp.B)}
     key_i = {round(float(b), 9): i for i, b in enumerate(inpl.B)}
     common = sorted(set(key_p) & set(key_i))
-    if not common:
-        return np.array([]), np.array([])
-    B = np.array(common)
+    B = np.array(common, dtype=float)
     d = np.array(
         [
             squares * (1.0 / perp.R_xx[key_p[b]] - 1.0 / inpl.R_xx[key_i[b]])
@@ -217,31 +255,41 @@ def _difference_curve(perp: SweepRecord, inpl: SweepRecord, squares: float):
     return B, d
 
 
-def _wl_stage(ds: Dataset, hall: dict) -> dict:
-    n_2d = hall["n_2d_m2"]["value"]
-    l_mfp = hall["l_mfp_m"]["value"]
+@dataclass
+class WlTemperature:
+    """One temperature's difference curve on the shared field grid, and its fit."""
+
+    T_bath: float
+    B: np.ndarray
+    d_sigma: np.ndarray
+    fit: WlDifferenceFit
+
+
+def _wl_stage(ds: Dataset, phys: SamplePhysics) -> Tuple[dict, List[WlTemperature]]:
     lo, hi = ds.config.fit_window
 
     by_T: Dict[float, Dict[float, SweepRecord]] = {}
     for s in ds.sweeps:
         by_T.setdefault(round(s.T_bath, 9), {}).setdefault(s.theta_deg, s)
 
-    fits = []
+    fitted: List[WlTemperature] = []
+    rows = []
     skipped = []
     for T_key in sorted(by_T):
         pair = by_T[T_key]
         if 0.0 not in pair or 90.0 not in pair:
             skipped.append({"T_bath_K": T_key, "reason": "missing orientation pair"})
             continue
-        B, d = _difference_curve(pair[0.0], pair[90.0], ds.geometry.squares)
+        B, d = _difference_curve(pair[0.0], pair[90.0], ds.config.geometry.squares)
         keep = (np.abs(B) >= lo) & (np.abs(B) <= hi)
         if int(keep.sum()) < 10:
             skipped.append(
                 {"T_bath_K": T_key, "reason": "fewer than 10 shared points in window"}
             )
             continue
-        res = fit_wl_difference(B[keep], d[keep], l_mfp, n_2d)
-        fits.append(
+        res = fit_wl_difference(B[keep], d[keep], phys.l_mfp, phys.n_2d)
+        fitted.append(WlTemperature(T_key, B, d, res))
+        rows.append(
             {
                 "T_bath_K": T_key,
                 "n_points": int(keep.sum()),
@@ -253,14 +301,14 @@ def _wl_stage(ds: Dataset, hall: dict) -> dict:
                 "residual_norm": res.fit.residual_norm,
             }
         )
-    if not fits:
+    if not fitted:
         raise MissingDataError(
             "no temperature has both orientations with enough shared points"
         )
 
-    good = [f for f in fits if f["converged"]]
-    dvals = np.array([f["delta_m"]["value"] for f in good])
-    derrs = np.array([f["delta_m"]["stderr"] for f in good])
+    good = [t.fit.delta for t in fitted if t.fit.fit.converged]
+    dvals = np.array([m.value for m in good])
+    derrs = np.array([m.stderr for m in good])
     if good and np.all(derrs > 0.0):
         w = 1.0 / derrs**2
         pooled = Measured(float(np.sum(w * dvals) / np.sum(w)), float(np.sqrt(1.0 / np.sum(w))))
@@ -268,67 +316,52 @@ def _wl_stage(ds: Dataset, hall: dict) -> dict:
         pooled = Measured(float(dvals.mean()), 0.0)
     else:
         pooled = Measured(math.nan, math.nan)
-    return {
-        "status": "ok",
-        "per_temperature": fits,
+    section = {
+        "per_temperature": rows,
         "skipped": skipped,
         "delta_m": _measured(pooled),
     }
+    return section, fitted
 
 
-def _powerlaw_stage(wl: dict, T_c: float) -> dict:
-    pts = [
-        (f["T_bath_K"], f["l_phi_m"]["value"])
-        for f in wl["per_temperature"]
-        if f["converged"] and f["T_bath_K"] > T_c
-    ]
+def _powerlaw_stage(wl: List[WlTemperature], T_c: float):
+    pts = [(t.T_bath, t.fit.l_phi.value) for t in wl if t.fit.fit.converged and t.T_bath > T_c]
     if len(pts) < 3:
         raise MissingDataError(f"need at least 3 converged fits above T_c = {T_c:g} K")
     T = np.array([p[0] for p in pts])
     lp = np.array([p[1] for p in pts])
     res = fit_coherence_power_law(T, lp)
-    return {
-        "status": "ok",
+    section = {
         "T_c_K": T_c,
         "n_points": int(len(pts)),
         "exponent": _measured(res.exponent),
         "amplitude_m": _measured(res.amplitude),
     }
+    return section, res
 
 
-def _oriented_curves(ds: Dataset):
-    """Measured Delta sigma(B) per sweep, baseline removed per sweep."""
-    curves = []
-    for s in ds.sweeps:
-        if len(s.B) < 3:
-            continue
-        sigma = ds.geometry.squares / s.R_xx
-        sigma0 = _sigma0_quadratic(s.B, s.R_xx, ds.geometry.squares)
-        curves.append(
-            (
-                OrientedCurve(
-                    T_bath=s.T_bath,
-                    theta_deg=s.theta_deg,
-                    B=s.B,
-                    delta_sigma=sigma - sigma0,
-                ),
-                sigma0,
-            )
-        )
-    return curves
-
-
-def _collapse_stage(ds: Dataset, wl: dict, l_mfp: float) -> tuple:
-    fits = [f for f in wl["per_temperature"] if f["converged"]]
+def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], l_mfp: float):
+    fits = [t for t in wl if t.fit.fit.converged]
     if len(fits) < 3:
         raise MissingDataError("need WL fits at 3 or more temperatures")
     table = WlFitTable(
-        T=np.array([f["T_bath_K"] for f in fits]),
-        l_phi=np.array([f["l_phi_m"]["value"] for f in fits]),
-        gamma=np.array([max(f["gamma_T2"]["value"], 0.0) for f in fits]),
+        T=np.array([t.T_bath for t in fits]),
+        l_phi=np.array([t.fit.l_phi.value for t in fits]),
+        gamma=np.array([max(t.fit.gamma.value, 0.0) for t in fits]),
         l_mfp=l_mfp,
     )
-    curves = [c for c, _ in _oriented_curves(ds)]
+    # measured Delta sigma(B) per sweep, baseline removed per sweep
+    squares = ds.config.geometry.squares
+    curves = [
+        OrientedCurve(
+            T_bath=s.T_bath,
+            theta_deg=s.theta_deg,
+            B=s.B,
+            delta_sigma=squares / s.R_xx - _checked(s0),
+        )
+        for s, s0 in zip(ds.sweeps, sigma0)
+        if len(s.B) >= 3
+    ]
     aa = isolate_aa(curves, table, extrapolate=ds.config.extrapolate_l_phi)
     if len(aa) < 3:
         raise MissingDataError("need interaction residues at 3 or more temperatures")
@@ -345,8 +378,7 @@ def _collapse_stage(ds: Dataset, wl: dict, l_mfp: float) -> tuple:
         g_factor=ds.config.g_factor,
         h_min=ds.config.h_min,
     )
-    stage = {
-        "status": "ok",
+    section = {
         "anchor_T_bath_K": float(result.t_bath[result.anchor]),
         "dispersion": result.dispersion,
         "dispersion_at_bath": at_bath,
@@ -358,7 +390,7 @@ def _collapse_stage(ds: Dataset, wl: dict, l_mfp: float) -> tuple:
             for tb, te in zip(result.t_bath, result.t_eff)
         ],
     }
-    return stage, result, aa
+    return section, (result, aa)
 
 
 @dataclass
@@ -398,62 +430,39 @@ def _round_floats(obj):
 
 
 def run_analysis(ds: Dataset) -> Report:
-    """Execute all stages, tolerating missing data with explicit markers."""
+    """Execute all stages, tolerating missing data with explicit markers.
+
+    A stage whose upstream stages are not all ok is skipped, naming the
+    first one that is not. Within a stage, MissingDataError marks it
+    skipped and any other ValueError marks it an error.
+    """
+    sigma0 = _sigma0_per_sweep(ds)
+    # (name, stage function, upstream stages); a stage function takes the
+    # upstream typed results and returns (section minus status, typed result)
+    table = (
+        ("hall", lambda: _hall_stage(ds, sigma0), ()),
+        ("wl", lambda phys: _wl_stage(ds, phys), ("hall",)),
+        ("powerlaw", lambda wl: _powerlaw_stage(wl, ds.config.T_c), ("wl",)),
+        (
+            "collapse",
+            lambda wl, phys: _collapse_stage(ds, sigma0, wl, phys.l_mfp),
+            ("wl", "hall"),
+        ),
+    )
     stages: dict = {}
-    plots: dict = {}
-
-    try:
-        hall = _hall_stage(ds)
-    except ValueError as exc:
-        hall = {"status": "error", "message": str(exc)}
-    stages["hall"] = hall
-
-    if hall["status"] == "ok":
+    results: dict = {}
+    for name, stage, upstream in table:
+        down = [u for u in upstream if u not in results]
+        if down:
+            stages[name] = {"status": "skipped", "reason": f"{down[0]} stage unavailable"}
+            continue
         try:
-            wl = _wl_stage(ds, hall)
+            section, results[name] = stage(*(results[u] for u in upstream))
+            stages[name] = {"status": "ok", **section}
         except MissingDataError as exc:
-            wl = {"status": "skipped", "reason": str(exc)}
+            stages[name] = {"status": "skipped", "reason": str(exc)}
         except ValueError as exc:
-            wl = {"status": "error", "message": str(exc)}
-    else:
-        wl = {"status": "skipped", "reason": "hall stage unavailable"}
-    stages["wl"] = wl
-
-    if wl["status"] == "ok":
-        try:
-            powerlaw = _powerlaw_stage(wl, ds.config.T_c)
-        except MissingDataError as exc:
-            powerlaw = {"status": "skipped", "reason": str(exc)}
-        except ValueError as exc:
-            powerlaw = {"status": "error", "message": str(exc)}
-        try:
-            collapse_out, collapse_result, aa_curves = _collapse_stage(
-                ds, wl, hall["l_mfp_m"]["value"]
-            )
-        except MissingDataError as exc:
-            collapse_out, collapse_result, aa_curves = (
-                {"status": "skipped", "reason": str(exc)},
-                None,
-                None,
-            )
-        except ValueError as exc:
-            collapse_out, collapse_result, aa_curves = (
-                {"status": "error", "message": str(exc)},
-                None,
-                None,
-            )
-    else:
-        reason = "wl stage unavailable"
-        powerlaw = {"status": "skipped", "reason": reason}
-        collapse_out, collapse_result, aa_curves = (
-            {"status": "skipped", "reason": reason},
-            None,
-            None,
-        )
-    stages["powerlaw"] = powerlaw
-    stages["collapse"] = collapse_out
-
-    plots.update(_plot_tables(ds, stages, collapse_result, aa_curves))
+            stages[name] = {"status": "error", "message": str(exc)}
 
     provenance = {
         "inputs": [{"name": n, "sha256": h} for n, h in ds.sources],
@@ -461,53 +470,40 @@ def run_analysis(ds: Dataset) -> Report:
         "version": __version__,
         "sigma0_method": SIGMA0_METHOD,
     }
-    return Report(sample=ds.sample_id, stages=stages, provenance=provenance, plots=plots)
+    return Report(
+        sample=ds.sample_id,
+        stages=stages,
+        provenance=provenance,
+        plots=_plot_tables(ds, sigma0, results),
+    )
 
 
-def _plot_tables(ds, stages, collapse_result, aa_curves) -> dict:
+def _plot_tables(ds: Dataset, sigma0: list, results: dict) -> dict:
     """Column tables for the standard figures; keys become CSV file names."""
     plots = {}
-    wl = stages["wl"]
-    hall = stages["hall"]
 
-    if wl.get("status") == "ok" and hall.get("status") == "ok":
-        from .models import wl_perp_shape  # local import to avoid cycles
+    if "wl" in results:
+        wl = results["wl"]
+        l_mfp = results["hall"].l_mfp
+        unit = G0 / math.pi
+        # the model on each full shared grid, not only the fit window
+        model = [
+            unit * models.wl_perp_shape(np.abs(t.B), t.fit.l_phi.value, l_mfp)
+            - unit * np.log1p(t.fit.gamma.value * t.B * t.B)
+            for t in wl
+        ]
+        plots["wl_difference"] = [
+            ("T_bath_K", np.concatenate([np.full(t.B.size, t.T_bath) for t in wl])),
+            ("B_T", np.concatenate([t.B for t in wl])),
+            ("d_sigma_S", np.concatenate([t.d_sigma for t in wl])),
+            ("d_sigma_fit_S", np.concatenate(model)),
+        ]
 
-        l_mfp = hall["l_mfp_m"]["value"]
-        rows_T, rows_B, rows_d, rows_fit = [], [], [], []
-        by_T: Dict[float, Dict[float, SweepRecord]] = {}
-        for s in ds.sweeps:
-            by_T.setdefault(round(s.T_bath, 9), {}).setdefault(s.theta_deg, s)
-        fit_by_T = {f["T_bath_K"]: f for f in wl["per_temperature"]}
-        for T_key, pair in sorted(by_T.items()):
-            if T_key not in fit_by_T or 0.0 not in pair or 90.0 not in pair:
-                continue
-            B, d = _difference_curve(pair[0.0], pair[90.0], ds.geometry.squares)
-            f = fit_by_T[T_key]
-            lphi = f["l_phi_m"]["value"]
-            gam = f["gamma_T2"]["value"]
-            model = (G0 / math.pi) * (
-                wl_perp_shape(np.abs(B), lphi, l_mfp)
-            ) - (G0 / math.pi) * np.log1p(gam * B * B)
-            rows_T.extend([T_key] * len(B))
-            rows_B.extend(B.tolist())
-            rows_d.extend(d.tolist())
-            rows_fit.extend(model.tolist())
-        if rows_T:
-            plots["wl_difference"] = [
-                ("T_bath_K", np.array(rows_T)),
-                ("B_T", np.array(rows_B)),
-                ("d_sigma_S", np.array(rows_d)),
-                ("d_sigma_fit_S", np.array(rows_fit)),
-            ]
-
-        T_fit = np.array([f["T_bath_K"] for f in wl["per_temperature"]])
-        lp_fit = np.array([f["l_phi_m"]["value"] for f in wl["per_temperature"]])
-        pl = stages["powerlaw"]
-        if pl.get("status") == "ok":
-            amp = pl["amplitude_m"]["value"]
-            ex = pl["exponent"]["value"]
-            lp_model = amp * T_fit**ex
+        T_fit = np.array([t.T_bath for t in wl])
+        lp_fit = np.array([t.fit.l_phi.value for t in wl])
+        pl = results.get("powerlaw")
+        if pl is not None:
+            lp_model = pl.amplitude.value * T_fit**pl.exponent.value
         else:
             lp_model = np.full_like(T_fit, math.nan)
         plots["l_phi"] = [
@@ -516,27 +512,16 @@ def _plot_tables(ds, stages, collapse_result, aa_curves) -> dict:
             ("l_phi_powerlaw_m", lp_model),
         ]
 
-    sig_T, sig_th, sig_s = [], [], []
-    for s in ds.sweeps:
-        if len(s.B) < 3:
-            continue
-        try:
-            s0 = _sigma0_quadratic(s.B, s.R_xx, ds.geometry.squares)
-        except ValueError:
-            continue
-        sig_T.append(s.T_bath)
-        sig_th.append(s.theta_deg)
-        sig_s.append(s0)
-    if sig_T:
+    ok = [(s, s0) for s, s0 in zip(ds.sweeps, sigma0) if not isinstance(s0, ValueError)]
+    if ok:
         plots["sigma0"] = [
-            ("T_bath_K", np.array(sig_T)),
-            ("theta_deg", np.array(sig_th)),
-            ("sigma0_S", np.array(sig_s)),
+            ("T_bath_K", np.array([s.T_bath for s, _ in ok])),
+            ("theta_deg", np.array([s.theta_deg for s, _ in ok])),
+            ("sigma0_S", np.array([s0 for _, s0 in ok])),
         ]
 
-    if aa_curves is not None and collapse_result is not None:
-        from .models import reduced_field  # local import keeps header tidy
-
+    if "collapse" in results:
+        collapse_result, aa_curves = results["collapse"]
         rows = {"T_bath_K": [], "B_T": [], "ln_h_bath": [], "ln_h_eff": [], "d_sigma_aa_S": []}
         for c, te in zip(aa_curves, collapse_result.t_eff):
             keep = np.abs(c.B) > 0.0
@@ -544,10 +529,10 @@ def _plot_tables(ds, stages, collapse_result, aa_curves) -> dict:
             rows["T_bath_K"].extend([c.T_bath] * int(keep.sum()))
             rows["B_T"].extend(c.B[keep].tolist())
             rows["ln_h_bath"].extend(
-                np.log(reduced_field(absB, c.T_bath, ds.config.g_factor)).tolist()
+                np.log(models.reduced_field(absB, c.T_bath, ds.config.g_factor)).tolist()
             )
             rows["ln_h_eff"].extend(
-                np.log(reduced_field(absB, te, ds.config.g_factor)).tolist()
+                np.log(models.reduced_field(absB, te, ds.config.g_factor)).tolist()
             )
             rows["d_sigma_aa_S"].extend(c.delta_sigma[keep].tolist())
         plots["aa_collapse"] = [(k, np.array(v)) for k, v in rows.items()]

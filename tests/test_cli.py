@@ -165,12 +165,26 @@ def test_missing_input_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("deltamag:")
 
 
-def test_config_must_be_object(sweeps_csv, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "JSON object"),
+        ('{"fit_window_T": 5}', "'fit_window_T' must be a list of 2 numbers"),
+        ('{"geometry_um": 5}', "'geometry_um' must be a list of 2 numbers"),
+        ('{"geometry_um": [200, 20, 5]}', "'geometry_um' must be a list of 2 numbers"),
+        ('{"kappa_nm": null}', "'kappa_nm' must be a number"),
+        ('{"extrapolate_l_phi": "false"}', "'extrapolate_l_phi' must be true or false"),
+        ('{"kapa_nm": 3.0}', "unknown analysis config key 'kapa_nm'"),
+    ],
+    ids=["array", "window-number", "geometry-number", "geometry-triple", "kappa-null",
+         "extrapolate-string", "unknown-key"],
+)
+def test_config_must_be_object(sweeps_csv, tmp_path, capsys, text, message):
     bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2]", encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
     code = main(["hall", str(sweeps_csv), "--config", str(bad)])
     assert code == 2
-    assert "JSON object" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_analysis_config_file_is_honored(sweeps_csv, tmp_path, capsys):

@@ -14,6 +14,7 @@ from deltamag import (
     dispersion,
     gamma_param,
     isolate_aa,
+    reduced_field,
     total_delta_sigma,
     wl_inplane,
     wl_perp,
@@ -187,6 +188,22 @@ def test_dispersion_needs_shared_support():
     c2 = aa_curves([500.0], B)[0]  # reduced fields 5000x apart; no overlap
     with pytest.raises(ValueError, match="no collapse constraint"):
         dispersion([c1, c2])
+
+
+def test_dispersion_counts_shared_bins_like_a_loop():
+    # curves 3x apart in T overlap over part of the pooled ln h range
+    curves = aa_curves([0.1, 0.3, 0.9], np.linspace(0.05, 2.0, 30))
+    x = [np.log(reduced_field(c.B, c.T_bath)) for c in curves]
+    edges = np.linspace(min(v.min() for v in x), max(v.max() for v in x), 41)
+    members = [set() for _ in range(40)]
+    for i, xi in enumerate(x):
+        for b in np.clip(np.searchsorted(edges, xi, side="right") - 1, 0, 39):
+            members[b].add(i)
+    shared = sum(len(m) >= 2 for m in members)
+    assert 0 < shared < 40
+    with pytest.raises(ValueError, match=f"overlap in only {shared} of 40 bins"):
+        dispersion(curves, min_shared_bins=shared + 1)
+    assert dispersion(curves, min_shared_bins=shared) >= 0.0
 
 
 def test_dispersion_t_eff_length_guard():

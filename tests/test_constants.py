@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deltamag.constants import (
-    CONSTANTS,
     E_CHARGE,
     G0,
     H_PLANCK,
@@ -29,7 +28,6 @@ def test_si_defining_constants_exact():
 def test_conductance_quantum():
     assert G0 == E_CHARGE**2 / H_PLANCK
     assert G0 == pytest.approx(3.874045865e-5, rel=1e-9)
-    assert CONSTANTS.G0 == G0
 
 
 def test_unit_conversions():

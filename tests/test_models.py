@@ -66,7 +66,6 @@ def test_wl_perp_shape_wiring():
     np.testing.assert_allclose(
         wl_perp(B, P1), (G0 / math.pi) * wl_perp_shape(B, 86e-9, 11.7e-9), rtol=0, atol=0
     )
-    np.testing.assert_allclose(wl_perp(B, P1, prefactor=1.3), 1.3 * wl_perp(B, P1))
 
 
 def test_wl_perp_monotone_and_saturating():

@@ -8,15 +8,16 @@ check for the whole CSV -> report chain.
 import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import deltamag.pipeline as pipeline
 from deltamag import (
     AnalysisConfig,
     Dataset,
-    Geometry,
     SweepRecord,
     SynthConfig,
     __version__,
@@ -35,6 +36,7 @@ DELTA_NM = 0.42
 AMP_NM = 35.5
 EXPONENT = -0.31
 F_TRUE = 0.5
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def synth_dict(temps=TEMPS, num=81, **over):
@@ -160,6 +162,28 @@ def test_plot_tables_present(clean_run):
     assert np.allclose(cols["d_sigma_S"], cols["d_sigma_fit_S"], atol=1e-12)
 
 
+@pytest.mark.parametrize("sample_id, perp_only", [("DEMO1", False), ("PERP1", True)])
+def test_report_matches_golden(tmp_path, sample_id, perp_only):
+    """Report bytes are pinned across refactors.
+
+    DEMO1 is the demos/05 dataset (seed 12); PERP1 is the same sample with
+    its in-plane sweeps dropped. A change that alters reported numbers must
+    regenerate tests/golden/<sample>_report.json from run_analysis(...).to_json()
+    and say why.
+    """
+    d = synth_dict(
+        temps=(0.1, 0.2, 0.4, 0.7, 1.0),
+        sample_id=sample_id,
+        t_sat_K=0.25,
+        noise={"relative_sigma": 0.002, "seed": 12},
+    )
+    if perp_only:
+        d["sweep_plan"] = [e for e in d["sweep_plan"] if e["theta_deg"] == 0.0]
+    _, _, ds = build_dataset(tmp_path, d)
+    golden = GOLDEN / f"{sample_id}_report.json"
+    assert run_analysis(ds).to_json() == golden.read_text(encoding="utf-8")
+
+
 def test_report_json_deterministic(clean_run):
     ds2 = load_datasets([clean_run["path"]], AnalysisConfig())[0]
     assert run_analysis(ds2).to_json() == clean_run["report"].to_json()
@@ -248,18 +272,38 @@ def test_config_defaults_and_round_trip():
     assert rt.geometry.squares == pytest.approx(full.geometry.squares, rel=1e-12)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(sorted(AnalysisConfig().to_dict())) | st.text(max_size=6),
+        JSON_VALUES,
+        max_size=4,
+    )
+)
+def test_config_from_any_json_object(d):
+    try:
+        cfg = AnalysisConfig.from_dict(d)
+    except ValueError:
+        return
+    assert isinstance(cfg, AnalysisConfig)
+
+
 def test_dataset_rejects_mismatched_sample():
     rec = SweepRecord("S1", 0.5, 0.0, [0.0, 0.1, 0.2], [10.0, 10.1, 10.2], None, 1e-9)
     with pytest.raises(ValueError, match="differs"):
-        Dataset(sample_id="S2", geometry=Geometry(200e-6, 20e-6), sweeps=[rec],
-                config=AnalysisConfig())
+        Dataset(sample_id="S2", sweeps=[rec], config=AnalysisConfig())
 
 
 def test_dataset_rejects_odd_orientation():
     rec = SweepRecord("S1", 0.5, 45.0, [0.0, 0.1, 0.2], [10.0, 10.1, 10.2], None, 1e-9)
     with pytest.raises(ValueError, match="unsupported orientation"):
-        Dataset(sample_id="S1", geometry=Geometry(200e-6, 20e-6), sweeps=[rec],
-                config=AnalysisConfig())
+        Dataset(sample_id="S1", sweeps=[rec], config=AnalysisConfig())
 
 
 def test_perp_only_degrades_gracefully(tmp_path):
@@ -288,6 +332,9 @@ def test_no_hall_data_is_an_error(tmp_path):
     assert hall["status"] == "error"
     assert "no sweep with Hall data" in hall["message"]
     assert report.stages["wl"] == {"status": "skipped", "reason": "hall stage unavailable"}
+    # downstream of a skipped stage the skip propagates, naming that stage
+    for name in ("powerlaw", "collapse"):
+        assert report.stages[name] == {"status": "skipped", "reason": "wl stage unavailable"}
 
 
 def test_partial_temperatures_are_reported(tmp_path):
