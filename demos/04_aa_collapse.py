@@ -31,9 +31,9 @@ result = collapse_teff(curves)
 print(f"dispersion at bath temperatures: {before:.3e}")
 print(f"dispersion after collapse:       {result.dispersion:.3e}")
 print()
-print(f"{'T_bath (K)':>10} {'T_eff (K)':>10} {'generated':>10}")
-for T, te in zip(temps, result.t_eff):
-    print(f"{T:10.2f} {te:10.3f} {math.hypot(T, t_sat):10.3f}")
+print(f"{'T_bath (K)':>10} {'T_eff (K)':>20} {'generated':>10}")
+for T, te, se in zip(temps, result.t_eff, result.t_eff_stderr):
+    print(f"{T:10.2f} {te:10.4f} +- {se:.4f} {math.hypot(T, t_sat):10.4f}")
 print()
 print(f"F = {result.F.value:.3f} +- {result.F.stderr:.3f}  (generated with 0.5)")
 print(f"intercept check: {result.intercept_check:.3f}  (1.3 expected)")

@@ -5,10 +5,10 @@ term. Subtracting the fitted WL model per orientation leaves the
 interaction residue; plotted against ln h with h = g mu_B B / (k_B T) the
 residues of all temperatures should fall on one curve. At low bath
 temperature they only do so once the electron temperature is allowed to
-float, which is how T_eff is measured: minimize the scatter of the pooled
-points around a monotone master curve over the per-temperature T_eff, with
-one anchor temperature pinned to its bath value to fix the overall scale
-(h only constrains ratios of temperatures).
+float, which is how T_eff is measured: fit the pooled points with one
+smooth master curve, a Chebyshev series in ln h, jointly over the
+per-temperature ln T_eff, with one anchor temperature pinned to its bath
+value to fix the overall scale (h only constrains ratios of temperatures).
 """
 
 from __future__ import annotations
@@ -20,11 +20,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fit import Measured, fit_aa_slope
+from .fit import Measured, Residual, fit_aa_slope, levmar
 from .models import reduced_field, wl_inplane, wl_perp_shape, InPlaneParams
 from .constants import G0
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Chebyshev degrees of the master curve: the smooth coarse series pulls
+# far-off curves into the right basin, the fine series removes its bias.
+_COARSE_DEGREE = 10
+_FINE_DEGREE = 24
+# matrix entries per LAPACK call in _lstsq: OpenBLAS splits its level-2 BLAS
+# calls over worker threads above 8192
+_QR_CELLS = 8000
 
 
 @dataclass
@@ -192,6 +198,26 @@ def _pooled_points(curves, t_eff, g_factor):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(ids)
 
 
+def _lstsq(V, Y):
+    """Least-squares solution C of V C = Y for a tall V and 2-d Y.
+
+    Row blocks of [V Y] with at most _QR_CELLS entries are replaced by
+    their QR factors R until one block is left for ``np.linalg.lstsq``.
+    BLAS split lstsq on all of V over worker threads, which made the
+    collapse's run time depend on the load on the other cores. Householder
+    QR keeps lstsq's accuracy, which the fit needs: on sparse sweeps the
+    degree-24 design has a condition number near 1e9.
+    """
+    A = np.column_stack([V, Y])
+    rows = max(_QR_CELLS // A.shape[1], 2 * A.shape[1])  # blocks must shrink
+    while A.shape[0] > rows:
+        A = np.concatenate([A, np.zeros((-A.shape[0] % rows, A.shape[1]))])
+        A = np.linalg.qr(A.reshape(-1, rows, A.shape[1]), mode="r")
+        A = A.reshape(-1, A.shape[-1])
+    n = V.shape[1]
+    return np.linalg.lstsq(A[:, :n], A[:, n:], rcond=None)[0]
+
+
 def _bin_index(x, n_bins):
     """Index of the equal-width bin over [min x, max x] holding each x."""
     edges = np.linspace(x.min(), x.max(), n_bins + 1)
@@ -273,27 +299,14 @@ class CollapseResult:
 
     t_bath: np.ndarray
     t_eff: np.ndarray
+    t_eff_stderr: np.ndarray  # 0 for the gauge-fixed anchor
     anchor: int
     dispersion: float
     master_curve: np.ndarray  # rows of (ln h, delta_sigma)
     F: Measured
     intercept_check: float
-
-
-def _golden_min(f, a, b, tol):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    converged: bool  # both series fits
+    iterations: int  # summed over both series fits
 
 
 def collapse_teff(
@@ -303,17 +316,17 @@ def collapse_teff(
     g_factor: float = 2.0,
     h_min: float = 3.0,
     n_bins: int = 40,
-    rounds: int = 3,
-    tol: float = 1e-4,
 ) -> CollapseResult:
-    """Find per-temperature T_eff by minimizing the collapse dispersion.
+    """Find per-temperature T_eff by fitting all curves to one master curve.
 
     The anchor curve (highest bath temperature by default) keeps
     T_eff = T_bath; rescaling every T_eff by a common factor only shifts
     all curves rigidly in ln h, so without the anchor the solution would be
-    defined up to that factor. The remaining temperatures are optimized by
-    coordinate descent in ln T_eff with a golden-section line search over
-    [0.75 T_bath, 30 T_bath], the whole descent restarted twice.
+    defined up to that factor. ``levmar`` fits the other ln(T_eff/T_bath)
+    in [ln 0.75, ln 30] jointly, putting the pooled residues (in G0/pi) on
+    a Chebyshev series in ln h solved linearly at each evaluation (variable
+    projection): at degree _COARSE_DEGREE from T_bath, then _FINE_DEGREE,
+    whose covariance gives the T_eff standard errors.
 
     Returns a CollapseResult; F comes from the slope of the binned master
     curve on h >= h_min (NaN if too few bins reach that regime).
@@ -326,47 +339,52 @@ def collapse_teff(
     if not 0 <= anchor < len(curves):
         raise ValueError("anchor index out of range")
 
-    t_eff = t_bath.copy()
     # raises early if the curves share no h support
+    dispersion(curves, t_bath, g_factor=g_factor, n_bins=n_bins)
+
+    x_bath, y, ids = _pooled_points(curves, t_bath, g_factor)  # x = ln h at T_bath
+    yn = y / (G0 / math.pi)  # dimensionless, so levmar's tolerances apply
+    n_free = len(curves) - 1
+    unknowns = _FINE_DEGREE + 1 + n_free  # series coefficients and temperatures
+    if yn.size <= unknowns:
+        raise ValueError(f"{yn.size} nonzero-field points cannot fix {unknowns} unknowns")
+
+    cheb = np.polynomial.chebyshev  # imported on first use, not with deltamag
+    free = np.delete(np.arange(len(curves)), anchor)
+
+    def series(ln_ratio, degree):
+        x = x_bath - np.insert(ln_ratio, anchor, 0.0)[ids]
+        t = (2.0 * x - x.max() - x.min()) / np.ptp(x)
+        V = cheb.chebvander(t, degree)
+        return x, t, V, _lstsq(V, yn[:, None])[:, 0]
+
+    def misfit(degree):
+        def evaluate(ln_ratio):
+            _, _, V, coef = series(ln_ratio, degree)
+            # einsum, not @: BLAS would thread products over the tall V too
+            return np.einsum("ij,j->i", V, coef) - yn
+
+        def jacobian(ln_ratio):
+            # Kaufman's variable-projection Jacobian: each curve slides along
+            # the series' slope, less what refitting the coefficients absorbs.
+            # J'r is the exact gradient; differencing would cost 2 solves
+            # per parameter.
+            x, t, V, coef = series(ln_ratio, degree)
+            slope = cheb.chebval(t, cheb.chebder(coef)) * 2.0 / np.ptp(x)
+            D = -slope[:, None] * (ids[:, None] == free)
+            shift = np.ascontiguousarray(_lstsq(V, D).T)  # rows keep einsum fast
+            return D - np.einsum("ij,kj->ik", V, shift)
+
+        return Residual(evaluate, jacobian)
+
+    bounds = (np.full(n_free, math.log(0.75)), np.full(n_free, math.log(30.0)))
+    scale = np.ones(n_free)
+    coarse = levmar(misfit(_COARSE_DEGREE), np.zeros(n_free), bounds, x_scale=scale)
+    fine = levmar(misfit(_FINE_DEGREE), coarse.params, bounds, x_scale=scale)
+
+    t_eff = t_bath * np.exp(np.insert(fine.params, anchor, 0.0))
+    var = np.insert(np.diag(fine.covariance), anchor, 0.0)
     best = dispersion(curves, t_eff, g_factor=g_factor, n_bins=n_bins)
-
-    # Exactly collapsible data sits in a flat valley whose depth is set by
-    # float cancellation; below this floor there is nothing left to
-    # optimize, so clamp to zero rather than chase rounding dust.
-    _, y0, _ = _pooled_points(curves, t_eff, g_factor)
-    floor = 1e-16 * float(np.mean(y0 * y0))
-    if best <= floor:
-        best = 0.0
-
-    def objective(vec):
-        try:
-            d = dispersion(curves, vec, g_factor=g_factor, n_bins=n_bins)
-        except ValueError:
-            return math.inf
-        return d if d > floor else 0.0
-
-    coords = [i for i in np.argsort(-t_bath) if i != anchor]
-    for _ in range(rounds):
-        for _sweep in range(10):
-            moved = 0.0
-            for i in coords:
-                lo = math.log(0.75 * t_bath[i])
-                hi = math.log(30.0 * t_bath[i])
-
-                def f_i(u, i=i):
-                    trial = t_eff.copy()
-                    trial[i] = math.exp(u)
-                    return objective(trial)
-
-                u_star = _golden_min(f_i, lo, hi, tol)
-                f_star = f_i(u_star)
-                # moves below the line-search resolution are noise, not signal
-                if f_star < best and abs(math.log(t_eff[i]) - u_star) > tol:
-                    moved = max(moved, abs(math.log(t_eff[i]) - u_star))
-                    t_eff[i] = math.exp(u_star)
-                    best = f_star
-            if moved < tol:
-                break
 
     for c, t in zip(curves, t_eff):
         c.T_eff = float(t)
@@ -395,9 +413,12 @@ def collapse_teff(
     return CollapseResult(
         t_bath=t_bath,
         t_eff=t_eff,
+        t_eff_stderr=t_eff * np.sqrt(np.maximum(var, 0.0)),
         anchor=anchor,
         dispersion=best,
         master_curve=master,
         F=F,
         intercept_check=ref,
+        converged=coarse.converged and fine.converged,
+        iterations=coarse.iterations + fine.iterations,
     )

@@ -88,6 +88,8 @@ class FitResult:
     iterations: int
     converged: bool
     bounds_active: np.ndarray
+    jacobian: np.ndarray  # at ``params``
+    residual: np.ndarray  # at ``params``
 
 
 class ResidualError(RuntimeError):
@@ -118,8 +120,7 @@ def finite_difference_jacobian(fun, p, *, bounds=None, x_scale=None, rel_step=1e
     else:
         lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     scale = _default_scale(p) if x_scale is None else np.asarray(x_scale, dtype=float)
-    f0 = np.asarray(fun(p), dtype=float)
-    J = np.empty((f0.size, k))
+    columns = []
     for i in range(k):
         h = rel_step * scale[i]
         a = max(p[i] - h, lo[i])
@@ -130,8 +131,8 @@ def finite_difference_jacobian(fun, p, *, bounds=None, x_scale=None, rel_step=1e
         pa[i] = a
         pb = p.copy()
         pb[i] = b
-        J[:, i] = (np.asarray(fun(pb), float) - np.asarray(fun(pa), float)) / (b - a)
-    return J
+        columns.append((np.asarray(fun(pb), float) - np.asarray(fun(pa), float)) / (b - a))
+    return np.column_stack(columns)
 
 
 def _default_scale(p):
@@ -139,15 +140,13 @@ def _default_scale(p):
     return np.where(a > 0.0, a, 1.0)
 
 
-def _sandwich_covariance(fun, p, bounds, x_scale):
+def _sandwich_covariance(J, r, x_scale):
     """Heteroscedasticity-consistent covariance from squared residuals.
 
     (J'J)^-1 J' diag(r^2) J (J'J)^-1 with the m/(m-k) small-sample
-    correction; reduces to the usual estimate when the residual variance is
-    uniform.
+    correction, from the Jacobian ``J`` and residual ``r`` at the optimum;
+    reduces to the usual estimate when the residual variance is uniform.
     """
-    r = np.asarray(fun(p), dtype=float)
-    J = finite_difference_jacobian(fun, p, bounds=bounds, x_scale=x_scale)
     J = J * np.asarray(x_scale, dtype=float)[None, :]  # dimensionless params
     m, k = J.shape
     bread = np.linalg.pinv(J.T @ J, hermitian=True)
@@ -323,6 +322,8 @@ def levmar(
         iterations=iterations,
         converged=converged,
         bounds_active=bounds_active,
+        jacobian=J,
+        residual=r,
     )
 
 
@@ -423,7 +424,7 @@ def fit_wl_difference(
         # where the signal is larger; the sandwich estimator stays honest
         # under that heteroscedasticity where the plain chi-square
         # covariance does not.
-        cov = _sandwich_covariance(resid, result.params, (lo, hi), x_scale)
+        cov = _sandwich_covariance(result.jacobian, result.residual, x_scale)
     else:
         cov = result.covariance
     l_phi_se = math.sqrt(max(cov[0, 0], 0.0))

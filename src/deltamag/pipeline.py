@@ -385,9 +385,11 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], l_mfp: f
         "h_min": ds.config.h_min,
         "F": _measured(result.F),
         "intercept_check": result.intercept_check,
+        "converged": result.converged,
+        "iterations": result.iterations,
         "temperatures": [
-            {"T_bath_K": float(tb), "T_eff_K": float(te)}
-            for tb, te in zip(result.t_bath, result.t_eff)
+            {"T_bath_K": float(tb), "T_eff_K": float(te), "T_eff_stderr_K": float(se)}
+            for tb, te, se in zip(result.t_bath, result.t_eff, result.t_eff_stderr)
         ],
     }
     return section, (result, aa)

@@ -143,6 +143,10 @@ def test_collapse_stage(clean_run):
         assert t["T_eff_K"] == pytest.approx(t["T_bath_K"], rel=1e-3)
     anchor = [t for t in temps if t["T_bath_K"] == max(TEMPS)][0]
     assert anchor["T_eff_K"] == anchor["T_bath_K"]
+    assert anchor["T_eff_stderr_K"] == 0.0  # gauge-fixed
+    assert col["converged"] is True
+    # summed over both series fits; neither starts at its own optimum
+    assert isinstance(col["iterations"], int) and col["iterations"] >= 2
     assert col["dispersion"] < 1e-16
     assert col["dispersion_at_bath"] < 1e-16
     assert col["F"]["value"] == pytest.approx(F_TRUE, abs=5e-3)
