@@ -129,7 +129,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return _cmd_synth(args)
         return _cmd_analyze(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"deltamag: {exc}", file=sys.stderr)
         return 2
 

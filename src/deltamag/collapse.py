@@ -367,8 +367,7 @@ def collapse_teff(
         def jacobian(ln_ratio):
             # Kaufman's variable-projection Jacobian: each curve slides along
             # the series' slope, less what refitting the coefficients absorbs.
-            # J'r is the exact gradient; differencing would cost 2 solves
-            # per parameter.
+            # J'r is the exact gradient.
             x, t, V, coef = series(ln_ratio, degree)
             slope = cheb.chebval(t, cheb.chebder(coef)) * 2.0 / np.ptp(x)
             D = -slope[:, None] * (ids[:, None] == free)

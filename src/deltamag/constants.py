@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 E_CHARGE = 1.602176634e-19  # elementary charge, C
 H_PLANCK = 6.62607015e-34   # Planck constant, J s
@@ -66,3 +67,22 @@ def from_si(q: Quantity, unit: str) -> Quantity:
     if q.unit != si_unit:
         raise ValueError(f"cannot express {q.unit!r} as {unit!r}")
     return Quantity(q.value / factor, unit)
+
+
+def _number(key: str, value) -> float:
+    """A finite JSON number as float; anything else raises ValueError naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"config key {key!r} is out of range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
+    return number
+
+
+def _pair(key: str, value) -> Tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"config key {key!r} must be a list of 2 numbers, got {value!r}")
+    return _number(key, value[0]), _number(key, value[1])

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .constants import E_CHARGE, G0, HBAR
-from .models import elastic_field, thickness_from_gamma, wl_perp_shape
+from .models import elastic_field, phase_breaking_field, thickness_from_gamma, wl_perp_shape
+from .special import trigamma
 
 
 class Measured(NamedTuple):
@@ -72,12 +73,12 @@ def linear_fit(x, y) -> LinearFit:
 class Residual:
     """Residual mapping for ``levmar``.
 
-    ``evaluate`` maps a parameter vector to the residual vector; ``jacobian``
-    is optional and defaults to central finite differences.
+    ``evaluate`` maps a parameter vector to the residual vector and
+    ``jacobian`` to its exact derivative, one column per parameter.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -92,7 +93,7 @@ class FitResult:
     residual: np.ndarray  # at ``params``
 
 
-class ResidualError(RuntimeError):
+class ResidualError(ValueError):
     """Raised when a residual evaluation turns non-finite mid-iteration.
 
     Carries the last finite state so callers can inspect where the
@@ -103,41 +104,6 @@ class ResidualError(RuntimeError):
         super().__init__(message)
         self.last_params = last_params
         self.last_residual = last_residual
-
-
-def finite_difference_jacobian(fun, p, *, bounds=None, x_scale=None, rel_step=1e-6):
-    """Central-difference Jacobian with steps 1e-6 * scale, respecting bounds.
-
-    Probe points are clipped into the box and the difference is divided by
-    the actual span, so parameters sitting on a bound degrade gracefully to
-    one-sided differences.
-    """
-    p = np.asarray(p, dtype=float)
-    k = p.size
-    if bounds is None:
-        lo = np.full(k, -np.inf)
-        hi = np.full(k, np.inf)
-    else:
-        lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    scale = _default_scale(p) if x_scale is None else np.asarray(x_scale, dtype=float)
-    columns = []
-    for i in range(k):
-        h = rel_step * scale[i]
-        a = max(p[i] - h, lo[i])
-        b = min(p[i] + h, hi[i])
-        if b <= a:
-            raise ValueError(f"bounds leave no room to differentiate parameter {i}")
-        pa = p.copy()
-        pa[i] = a
-        pb = p.copy()
-        pb[i] = b
-        columns.append((np.asarray(fun(pb), float) - np.asarray(fun(pa), float)) / (b - a))
-    return np.column_stack(columns)
-
-
-def _default_scale(p):
-    a = np.abs(np.asarray(p, dtype=float))
-    return np.where(a > 0.0, a, 1.0)
 
 
 def _sandwich_covariance(J, r, x_scale):
@@ -176,15 +142,15 @@ def levmar(
 
     Parameters
     ----------
-    residual : Residual or callable
-        Residual mapping; a bare callable is wrapped with finite-difference
-        Jacobians.
+    residual : Residual
+        Residual mapping with its exact Jacobian.
     init : array_like
         Start point, must lie inside the bounds.
     bounds : (lo, hi) pair of arrays, optional
     x_scale : array_like, optional
-        Characteristic parameter magnitudes, used for gradient scaling and
-        difference steps. Defaults to |init| (1 for zero entries).
+        Characteristic parameter magnitudes: steps are solved and the
+        gradient and step size tested in these units. Defaults to |init|
+        (1 for zero entries).
 
     Returns
     -------
@@ -193,8 +159,6 @@ def levmar(
         optimum. ``converged`` is False if 200 iterations pass without
         meeting a tolerance.
     """
-    if not isinstance(residual, Residual):
-        residual = Residual(evaluate=residual)
     p = np.asarray(init, dtype=float).copy()
     k = p.size
     if bounds is None:
@@ -206,7 +170,10 @@ def levmar(
         raise ValueError("lower bound exceeds upper bound")
     if np.any(p < lo) or np.any(p > hi):
         raise ValueError("init lies outside the bounds")
-    scale = _default_scale(p) if x_scale is None else np.asarray(x_scale, dtype=float)
+    if x_scale is None:
+        scale = np.where(np.abs(p) > 0.0, np.abs(p), 1.0)
+    else:
+        scale = np.asarray(x_scale, dtype=float)
 
     def evaluate(q, last_p, last_r):
         r = np.asarray(residual.evaluate(q), dtype=float)
@@ -218,20 +185,12 @@ def levmar(
             )
         return r
 
-    if residual.jacobian is not None:
-        jac = residual.jacobian
-    else:
-        def jac(q):
-            return finite_difference_jacobian(
-                lambda v: evaluate(v, p, r), q, bounds=(lo, hi), x_scale=scale
-            )
-
     r = evaluate(p, None, None)
     m = r.size
     if m < k:
         raise ValueError("residual must have at least as many entries as parameters")
     cost = 0.5 * float(r @ r)
-    J = np.asarray(jac(p), dtype=float)
+    J = np.asarray(residual.jacobian(p), dtype=float)
     g = J.T @ r
 
     lam = 0.0
@@ -277,8 +236,8 @@ def levmar(
             converged = True
             break
         # an undamped full Gauss-Newton step whose own model predicts no
-        # meaningful decrease means we are at the optimum up to Jacobian
-        # noise; a box-clipped step says nothing of the sort
+        # meaningful decrease means we are at the optimum up to rounding
+        # in J'J and the residual; a box-clipped step says nothing of the sort
         if lam == 0.0 and np.array_equal(step, dp):
             step_s = step / scale
             predicted = -(g_s @ step_s + 0.5 * step_s @ (A_s @ step_s))
@@ -289,7 +248,7 @@ def levmar(
         cost_new = 0.5 * float(r_new @ r_new)
         if cost_new <= cost:
             p, r, cost = p_new, r_new, cost_new
-            J = np.asarray(jac(p), dtype=float)
+            J = np.asarray(residual.jacobian(p), dtype=float)
             g = J.T @ r
             if np.max(np.abs(step) / scale) < xtol:
                 converged = True
@@ -382,18 +341,27 @@ def fit_wl_difference(
     yn = y / unit
     wn = None if sigma is None else np.asarray(sigma, dtype=float) / unit
 
-    def model(p):
-        lphi, gam = p
-        return wl_perp_shape(B, lphi, l_mfp) - np.log1p(gam * B * B)
-
     def resid(p):
-        r = model(p) - yn
+        lphi, gam = p
+        r = wl_perp_shape(B, lphi, l_mfp) - np.log1p(gam * B * B) - yn
         return r if wn is None else r / wn
+
+    nz = B > 0.0
+
+    def jacobian(p):
+        lphi, gam = p
+        # d/d l_phi of psi(1/2 + B_phi/B) + ln(2 l_phi^2/l^2), B_phi ~ l_phi^-2;
+        # the lineshape is identically 0 at B = 0
+        x = phase_breaking_field(lphi) / B[nz]
+        J = np.zeros((B.size, 2))
+        J[nz, 0] = (2.0 - 2.0 * x * trigamma(0.5 + x)) / lphi
+        J[:, 1] = -B * B / (1.0 + gam * B * B)
+        return J if wn is None else J / wn[:, None]
 
     # Low-field curvature start for l_phi: for small B the difference curve
     # is quadratic, yn/B^2 ~ 1/(24 B_phi^2) - 1/(24 B_l^2) - gamma.
     b_l = elastic_field(l_mfp)
-    pos = np.flatnonzero(B > 0.0)
+    pos = np.flatnonzero(nz)
     if pos.size == 0:
         raise ValueError("all field values are zero")
     k_small = pos[np.argsort(B[pos])][: max(3, B.size // 10)]
@@ -411,7 +379,7 @@ def fit_wl_difference(
     hi = np.array([l_phi_max, 1.0])
     x_scale = np.array([l_phi0, 1e-4])
     result = levmar(
-        Residual(evaluate=resid),
+        Residual(resid, jacobian),
         np.array([l_phi0, gamma0]),
         bounds=(lo, hi),
         x_scale=x_scale,

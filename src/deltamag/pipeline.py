@@ -28,7 +28,7 @@ from .collapse import (
     dispersion,
     isolate_aa,
 )
-from .constants import G0, Quantity, from_si, to_si
+from .constants import G0, Quantity, _number, _pair, from_si, to_si
 from .fit import Measured, WlDifferenceFit, fit_coherence_power_law, fit_wl_difference
 from .hall import (
     Geometry,
@@ -45,22 +45,6 @@ SIGMA0_METHOD = "quadratic extrapolation of the three lowest-|B| points"
 
 class MissingDataError(ValueError):
     """The dataset lacks the sweeps a stage needs (degradation, not failure)."""
-
-
-def _number(key: str, value) -> float:
-    """A JSON number as float; anything else raises ValueError naming the key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"config key {key!r} is out of range") from None
-
-
-def _pair(key: str, value) -> Tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"config key {key!r} must be a list of 2 numbers, got {value!r}")
-    return _number(key, value[0]), _number(key, value[1])
 
 
 @dataclass

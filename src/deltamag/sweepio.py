@@ -59,16 +59,19 @@ def parse_sweep_csv(path) -> list:
     """Parse a sweep CSV into SweepRecord objects.
 
     The header must match the sweep format exactly; the error names the
-    first offending column. Cell errors carry the file row number. Within
-    a sweep, B must be strictly monotone; violations are re-sorted
-    ascending with a warning. R_xy cells may all be empty (no Hall data)
-    but a sweep cannot mix empty and filled.
+    first offending column. Cell errors, nan and inf included, carry the
+    file row number. Within a sweep, B must be strictly monotone;
+    violations are re-sorted ascending with a warning. R_xy cells may all
+    be empty (no Hall data) but a sweep cannot mix empty and filled.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if not text.strip():
         raise ValueError(f"{path}: empty file")
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: unreadable CSV: {exc}") from None
     header = rows[0]
     if header and header[0].lstrip().startswith("#"):
         raise ValueError(
@@ -102,11 +105,13 @@ def parse_sweep_csv(path) -> list:
         def num(idx, name, line_no=line_no, row=row):
             cell = row[idx].strip()
             try:
-                return float(cell)
+                value = float(cell)
             except ValueError:
-                raise ValueError(
-                    f"{path}: row {line_no}: non-numeric value {cell!r} in column {name}"
-                ) from None
+                value = None
+            if value is None or not np.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
+                raise ValueError(f"{path}: row {line_no}: {kind} value {cell!r} in column {name}")
+            return value
 
         T_bath = num(1, "T_bath_K")
         theta = num(2, "theta_deg")

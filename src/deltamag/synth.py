@@ -17,13 +17,31 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constants import E_CHARGE, Quantity, to_si
+from .constants import E_CHARGE, Quantity, _number, to_si
 from .hall import Geometry, mean_free_path
 from .models import AaParams, InPlaneParams, WlParams, gamma_param, total_delta_sigma
 from .sweepio import SweepRecord
 
 B_MAX_APPARATUS = 2.0   # T, vector-magnet envelope
 T_MIN_APPARATUS = 0.03  # K, cryostat base temperature
+
+
+def _get(parent, key: str, default=None, kind=float):
+    """``parent[key]`` as a number, or checked to be a ``kind`` (dict or list).
+
+    ``parent`` must be a JSON object; a key without a ``default`` is required.
+    """
+    if not isinstance(parent, dict):
+        raise ValueError(f"synth config: expected a JSON object, got {parent!r}")
+    if key not in parent:
+        if default is None:
+            raise ValueError(f"synth config is missing key {key!r}")
+        return default
+    if kind is float:
+        return _number(key, parent[key])
+    if not isinstance(parent[key], kind):
+        raise ValueError(f"config key {key!r} has the wrong type, got {parent[key]!r}")
+    return parent[key]
 
 
 def effective_temperature(T_bath: float, t_sat: float) -> float:
@@ -108,42 +126,35 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        sample = d["sample"]
-        law = d["l_phi_law"]
-        noise = d.get("noise", {})
-        geo = d.get("geometry", {})
+        """Parse the JSON schema; a missing key or a wrong type raises ValueError."""
+        sample, law = _get(d, "sample", kind=dict), _get(d, "l_phi_law", kind=dict)
+        noise, geo = _get(d, "noise", {}, dict), _get(d, "geometry", {}, dict)
         plan = []
-        for entry in d.get("sweep_plan", []):
-            spec = entry["B_T"]
+        for entry in _get(d, "sweep_plan", [], list):
+            spec = _get(entry, "B_T", kind=(dict, list))
             if isinstance(spec, dict):
-                B = np.linspace(spec["start"], spec["stop"], int(spec["num"]))
+                B = np.linspace(_get(spec, "start"), _get(spec, "stop"), int(_get(spec, "num")))
             else:
-                B = np.asarray(spec, dtype=float)
-            plan.append(
-                SweepPlanEntry(
-                    T_bath=float(entry["T_bath_K"]),
-                    theta_deg=float(entry["theta_deg"]),
-                    B=B,
-                )
-            )
+                B = np.array([_number("B_T", b) for b in spec])
+            plan.append(SweepPlanEntry(_get(entry, "T_bath_K"), _get(entry, "theta_deg"), B))
         return cls(
             sample_id=str(d.get("sample_id", "synth")),
-            n_2d=to_si(Quantity(float(sample["n_2d_cm2"]), "cm^-2")).value,
-            mobility=to_si(Quantity(float(sample["mobility_cm2_Vs"]), "cm^2/Vs")).value,
-            delta=to_si(Quantity(float(sample.get("delta_nm", 0.0)), "nm")).value,
-            F=float(sample.get("F", 0.0)),
-            l_phi_amplitude=to_si(Quantity(float(law["amplitude_nm"]), "nm")).value,
-            l_phi_exponent=float(law["exponent"]),
-            t_sat=float(d.get("t_sat_K", 0.0)),
-            relative_sigma=float(noise.get("relative_sigma", 0.0)),
-            seed=int(noise.get("seed", 0)),
+            n_2d=to_si(Quantity(_get(sample, "n_2d_cm2"), "cm^-2")).value,
+            mobility=to_si(Quantity(_get(sample, "mobility_cm2_Vs"), "cm^2/Vs")).value,
+            delta=to_si(Quantity(_get(sample, "delta_nm", 0.0), "nm")).value,
+            F=_get(sample, "F", 0.0),
+            l_phi_amplitude=to_si(Quantity(_get(law, "amplitude_nm"), "nm")).value,
+            l_phi_exponent=_get(law, "exponent"),
+            t_sat=_get(d, "t_sat_K", 0.0),
+            relative_sigma=_get(noise, "relative_sigma", 0.0),
+            seed=int(_get(noise, "seed", 0)),
             sweep_plan=plan,
             geometry=Geometry(
-                to_si(Quantity(float(geo.get("L_um", 200.0)), "um")).value,
-                to_si(Quantity(float(geo.get("W_um", 20.0)), "um")).value,
+                to_si(Quantity(_get(geo, "L_um", 200.0), "um")).value,
+                to_si(Quantity(_get(geo, "W_um", 20.0), "um")).value,
             ),
-            current=float(d.get("current_A", 1e-9)),
-            g_factor=float(d.get("g_factor", 2.0)),
+            current=_get(d, "current_A", 1e-9),
+            g_factor=_get(d, "g_factor", 2.0),
         )
 
     @classmethod

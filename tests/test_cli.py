@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files, section views, flags."""
 
 import json
+import math
 
 import pytest
 
@@ -151,6 +152,23 @@ def test_report_exit_1_when_a_stage_degrades(tmp_path, capsys):
     assert report["stages"]["wl"]["status"] == "skipped"
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_zero_resistance_row_is_a_stage_error(sweeps_csv, tmp_path, capsys):
+    # an in-plane R_xx of 0 makes one difference-curve point infinite
+    lines = sweeps_csv.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("S1,0.4,90,1.5,"))
+    fields = lines[i].split(",")
+    fields[4] = "0"
+    lines[i] = ",".join(fields)
+    path = tmp_path / "zero.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["report", str(path), "--out", str(tmp_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    stages = json.loads((tmp_path / "S1_report.json").read_text())["stages"]
+    assert stages["hall"]["status"] == "ok"
+    assert stages["wl"]["status"] == "error"
+
+
 def test_bad_fit_window(sweeps_csv, capsys):
     code = main(["fit-wl", str(sweeps_csv), "--fit-window", "junk"])
     assert code == 2
@@ -184,6 +202,27 @@ def test_config_must_be_object(sweeps_csv, tmp_path, capsys, text, message):
     bad.write_text(text, encoding="utf-8")
     code = main(["hall", str(sweeps_csv), "--config", str(bad)])
     assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: [d], "synth config: expected a JSON object"),
+        (lambda d: {**d, "sample": []}, "'sample' has the wrong type"),
+        (lambda d: {**d, "sweep_plan": 5}, "'sweep_plan' has the wrong type"),
+        (lambda d: {**d, "noise": [1]}, "'noise' has the wrong type"),
+        (lambda d: {k: v for k, v in d.items() if k != "l_phi_law"}, "missing key 'l_phi_law'"),
+        (lambda d: {**d, "t_sat_K": "0.1"}, "'t_sat_K' must be a number"),
+        (lambda d: {**d, "noise": {"seed": math.inf}}, "'seed' must be finite"),
+    ],
+    ids=["array", "sample-list", "plan-number", "noise-list", "missing-key", "string-number",
+         "infinite-seed"],
+)
+def test_synth_config_errors_name_the_key(tmp_path, capsys, edit, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(config_dict())), encoding="utf-8")
+    assert main(["synth", str(bad), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
 
 

@@ -9,7 +9,6 @@ from deltamag import (
     Residual,
     ResidualError,
     WlParams,
-    finite_difference_jacobian,
     fit_aa_slope,
     fit_coherence_power_law,
     fit_wl_difference,
@@ -53,7 +52,7 @@ def test_linear_fit_needs_spread():
 
 def test_levmar_identity_residual():
     target = np.array([2.0, -3.0])
-    res = levmar(lambda p: p - target, np.zeros(2))
+    res = levmar(Residual(lambda p: p - target, lambda p: np.eye(2)), np.zeros(2))
     np.testing.assert_allclose(res.params, target, atol=1e-12)
     assert res.converged
     assert res.iterations <= 2  # one Gauss-Newton step solves it
@@ -62,7 +61,7 @@ def test_levmar_identity_residual():
 def test_levmar_linear_least_squares():
     A = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
     y = np.array([0.1, 1.2, 1.9, 3.1])
-    res = levmar(lambda p: A @ p - y, np.zeros(2))
+    res = levmar(Residual(lambda p: A @ p - y, lambda p: A), np.zeros(2))
     direct, *_ = np.linalg.lstsq(A, y, rcond=None)
     np.testing.assert_allclose(res.params, direct, atol=1e-10)
     assert res.iterations <= 2
@@ -72,8 +71,15 @@ def rosenbrock(p):
     return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
 
 
+def rosenbrock_jac(p):
+    return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
+
+
+ROSENBROCK = Residual(rosenbrock, rosenbrock_jac)
+
+
 def test_levmar_rosenbrock():
-    res = levmar(rosenbrock, np.array([-1.2, 1.0]))
+    res = levmar(ROSENBROCK, np.array([-1.2, 1.0]))
     np.testing.assert_allclose(res.params, [1.0, 1.0], atol=1e-8)
     assert res.converged
 
@@ -81,7 +87,7 @@ def test_levmar_rosenbrock():
 def test_levmar_bound_excludes_optimum():
     lo = np.array([-np.inf, -np.inf])
     hi = np.array([0.5, np.inf])
-    res = levmar(rosenbrock, np.array([-1.2, 1.0]), bounds=(lo, hi))
+    res = levmar(ROSENBROCK, np.array([-1.2, 1.0]), bounds=(lo, hi))
     assert res.converged
     assert res.params[0] == pytest.approx(0.5, abs=1e-9)
     assert res.bounds_active[0]
@@ -92,12 +98,16 @@ def test_levmar_bound_excludes_optimum():
 
 def test_levmar_rejects_start_outside_bounds():
     with pytest.raises(ValueError, match="outside"):
-        levmar(lambda p: p, np.array([2.0]), bounds=(np.array([0.0]), np.array([1.0])))
+        levmar(
+            Residual(lambda p: p, lambda p: np.eye(1)),
+            np.array([2.0]),
+            bounds=(np.array([0.0]), np.array([1.0])),
+        )
 
 
 def test_levmar_underdetermined_rejected():
     with pytest.raises(ValueError, match="at least as many"):
-        levmar(lambda p: np.array([p.sum()]), np.zeros(2))
+        levmar(Residual(lambda p: np.array([p.sum()]), lambda p: np.ones((1, 2))), np.zeros(2))
 
 
 def test_levmar_nonfinite_residual_carries_last_state():
@@ -105,13 +115,13 @@ def test_levmar_nonfinite_residual_carries_last_state():
         return np.where(np.abs(p) > 2.0, np.nan, p - 5.0)
 
     with pytest.raises(ResidualError) as exc:
-        levmar(fun, np.array([1.0]))
+        levmar(Residual(fun, lambda p: np.eye(1)), np.array([1.0]))
     assert exc.value.last_params is not None
     np.testing.assert_allclose(exc.value.last_params, [1.0])
 
 
 def test_levmar_iteration_cap():
-    res = levmar(rosenbrock, np.array([-1.2, 1.0]), max_iter=2)
+    res = levmar(ROSENBROCK, np.array([-1.2, 1.0]), max_iter=2)
     assert not res.converged
     assert res.iterations == 2
 
@@ -121,7 +131,7 @@ def test_levmar_analytic_jacobian_used():
 
     def jac(p):
         calls["jac"] += 1
-        return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
+        return rosenbrock_jac(p)
 
     res = levmar(Residual(evaluate=rosenbrock, jacobian=jac), np.array([-1.2, 1.0]))
     assert res.converged
@@ -133,7 +143,8 @@ def test_levmar_covariance_matches_linear_theory():
     rng = np.random.default_rng(42)
     x = np.linspace(0.0, 5.0, 40)
     y = 2.0 + 3.0 * x + 0.3 * rng.standard_normal(x.size)
-    res = levmar(lambda p: (p[0] + p[1] * x) - y, np.zeros(2))
+    design = np.column_stack([np.ones_like(x), x])
+    res = levmar(Residual(lambda p: (p[0] + p[1] * x) - y, lambda p: design), np.zeros(2))
     ref = linear_fit(x, y)
     assert res.params[1] == pytest.approx(ref.slope, rel=1e-9)
     # same chi-square scaling convention as the closed-form route
@@ -148,7 +159,11 @@ def test_levmar_scaled_parameters():
     def fun(p):
         return p[0] * np.exp(-t / p[1]) - y
 
-    res = levmar(fun, np.array([0.5, 3e-6]), x_scale=np.array([1.0, 1e-6]))
+    def jac(p):
+        e = np.exp(-t / p[1])
+        return np.column_stack([e, p[0] * e * t / p[1] ** 2])
+
+    res = levmar(Residual(fun, jac), np.array([0.5, 3e-6]), x_scale=np.array([1.0, 1e-6]))
     np.testing.assert_allclose(res.params, [0.8, 1.2e-6], rtol=1e-8)
 
 
@@ -159,7 +174,10 @@ def test_levmar_kink_reads_as_converged():
     def fun(p):
         return np.array([abs(p[0] - 0.3) + 1.0, 1.0])
 
-    res = levmar(fun, np.array([1.0]))
+    def jac(p):
+        return np.array([[np.sign(p[0] - 0.3)], [0.0]])
+
+    res = levmar(Residual(fun, jac), np.array([1.0]))
     assert res.converged
     assert res.params[0] == pytest.approx(0.3, abs=1e-9)
 
@@ -181,24 +199,6 @@ def test_levmar_noise_floor_reads_as_converged():
         f = fit_wl_difference(B, y, l_mfp, n)
         assert f.fit.converged
         assert f.l_phi.value == pytest.approx(l_phi, rel=0.15)
-
-
-def test_finite_difference_jacobian_linear_exact():
-    A = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    J = finite_difference_jacobian(lambda p: A @ p, np.array([1.0, 1.0]))
-    np.testing.assert_allclose(J, A, rtol=1e-8)
-
-
-def test_finite_difference_jacobian_respects_bounds():
-    # at the upper bound the probe must step inward, not out of the box
-    hi = np.array([1.0])
-
-    def fun(p):
-        assert p[0] <= 1.0
-        return np.array([p[0] ** 2])
-
-    J = finite_difference_jacobian(fun, np.array([1.0]), bounds=(np.array([0.0]), hi))
-    assert J[0, 0] == pytest.approx(2.0, rel=1e-5)
 
 
 # ---------------------------------------------------------- WL difference fit
@@ -284,6 +284,40 @@ def test_wl_difference_reported_errors_match_scatter():
     vals, errs = np.array(vals), np.array(errs)
     ratio = vals.std(axis=0, ddof=1) / errs.mean(axis=0)
     assert np.all(ratio > 0.6) and np.all(ratio < 1.5)
+
+
+def central_differences(fun, p, steps):
+    """Central-difference Jacobian of ``fun`` at ``p``, one column per step."""
+    columns = []
+    for i, h in enumerate(steps):
+        dp = np.zeros_like(p)
+        dp[i] = h
+        columns.append((fun(p + dp) - fun(p - dp)) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "sigma"])
+def test_wl_jacobian_matches_differences(monkeypatch, weighted):
+    import deltamag.fit
+
+    problems = []
+
+    def capture(residual, init, bounds=None, **kwargs):
+        problems.append((residual, bounds))
+        return levmar(residual, init, bounds, **kwargs)
+
+    monkeypatch.setattr(deltamag.fit, "levmar", capture)
+    B = np.linspace(-2.0, 2.0, 101)  # contains B = 0
+    sigma = np.linspace(1e-7, 3e-7, B.size) if weighted else None
+    fit_wl_difference(B, difference_curve(L07, B), L07.si("l_mfp"), L07.si("n_2d"), sigma=sigma)
+    ((residual, (lo, hi)),) = problems
+    # a point inside the box and one on the l_phi lower bound (l_phi = l)
+    for p in (np.array([L07.si("l_phi"), 2e-3]), np.array([lo[0], 1e-4])):
+        J = residual.jacobian(p)
+        fd = central_differences(residual.evaluate, p, 1e-4 * p)
+        assert np.all(J[B == 0.0] == 0.0)
+        col = np.abs(fd).max(axis=0)
+        np.testing.assert_allclose(J / col, fd / col, rtol=0, atol=1e-7)
 
 
 def test_wl_difference_explicit_sigma():

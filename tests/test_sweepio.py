@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from deltamag import SweepRecord, parse_sweep_csv, write_plot_csv, write_sweep_csv
 from deltamag.sweepio import SWEEP_HEADER
@@ -69,9 +69,11 @@ def test_extra_column_rejected(tmp_path):
 
 def test_non_numeric_cell_carries_row_number(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text(SWEEP_HEADER + "\nS1,0.3,0,0.0,1000,0.0,1e-9\nS1,0.3,0,0.1,oops,5.2,1e-9\n")
-    with pytest.raises(ValueError, match=r"row 3: non-numeric value 'oops' in column R_xx_ohm"):
-        parse_sweep_csv(p)
+    for cell, kind in (("oops", "non-numeric"), ("nan", "non-finite"), ("-inf", "non-finite")):
+        p.write_text(SWEEP_HEADER + f"\nS1,0.3,0,0.0,1000,0.0,1e-9\nS1,0.3,0,0.1,{cell},5.2,1e-9\n")
+        message = rf"bad.csv: row 3: {kind} value '{cell}' in column R_xx_ohm"
+        with pytest.raises(ValueError, match=message):
+            parse_sweep_csv(p)
 
 
 def test_empty_file_rejected(tmp_path):
@@ -162,3 +164,23 @@ def test_round_trip_values_survive(tmp_path_factory, r_xx):
     write_sweep_csv(path, [rec])
     (back,) = parse_sweep_csv(path)
     np.testing.assert_allclose(back.R_xx, rec.R_xx, rtol=1e-11, atol=1e-17)
+
+
+CELL = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["S1", "0", "90", "0.3", "1e-9", "", " "]),
+    st.text(max_size=4),
+)
+ROWS = st.lists(st.lists(CELL, min_size=6, max_size=8).map(",".join), max_size=6).map("\n".join)
+
+
+@given(st.sampled_from(["", SWEEP_HEADER + "\n"]), st.one_of(ROWS, st.text()))
+@example(SWEEP_HEADER + "\n", "x" * 131073)  # longer than the csv module's field limit
+def test_any_text_gives_records_or_value_error(tmp_path_factory, header, body):
+    path = tmp_path_factory.mktemp("fuzz") / "x.csv"
+    path.write_bytes((header + body).encode("utf-8", "surrogatepass"))
+    try:
+        records = parse_sweep_csv(path)
+    except ValueError:
+        return
+    assert records and all(np.all(np.isfinite(r.R_xx)) for r in records)
