@@ -334,6 +334,8 @@ def fit_wl_difference(
         raise ValueError("B and d_sigma must be 1-d arrays of equal length")
     if B.size < 5:
         raise ValueError("need at least 5 points for a 2-parameter fit")
+    if not (0.0 < l_mfp < math.inf and 0.0 < n_2d < math.inf):
+        raise ValueError(f"l_mfp = {l_mfp:g} m and n_2d = {n_2d:g} m^-2 must be finite and > 0")
     if B.size < 10:
         warnings.warn("fewer than 10 field points; fit may be poorly constrained")
 

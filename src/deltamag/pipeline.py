@@ -1,15 +1,18 @@
 """Staged analysis: Hall -> WL difference fits -> power law -> collapse.
 
 Each stage returns its report section and a typed result; later stages and
-the plot tables read those results, so every quantity is derived once. A
-failed stage is reported and everything downstream is marked skipped, so
-a partial dataset still yields a partial report. Reports render to JSON
-deterministically (sorted keys, 6 significant digits), with input hashes
-and the configuration echoed for provenance.
+the plot tables read those results, so every quantity is derived once. Only
+the requested sections and their upstream stages run, and the plot tables
+are built when first read. A failed stage is reported and everything
+downstream is marked skipped, so a partial dataset still yields a partial
+report. Reports render to JSON deterministically (sorted keys, 6
+significant digits), with input hashes and the configuration echoed for
+provenance.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -151,11 +154,14 @@ def _sigma0_quadratic(B, R_xx, squares: float) -> float:
     B = np.asarray(B, dtype=float)
     if B.size < 3:
         raise ValueError("need at least 3 points to extrapolate sigma0")
-    sigma = squares / np.asarray(R_xx, dtype=float)
     idx = np.argsort(np.abs(B), kind="stable")[:3]
-    b, s = B[idx], sigma[idx]
+    b = B[idx]
     if len(set(b.tolist())) < 3:
         raise ValueError("degenerate field values near B = 0")
+    with np.errstate(divide="ignore"):
+        s = squares / np.asarray(R_xx, dtype=float)[idx]
+    if not np.all(np.isfinite(s) & (s > 0.0)):
+        raise ValueError("non-finite or non-positive conductivity near B = 0 (R_xx = 0?)")
     total = 0.0
     for i in range(3):
         li = 1.0
@@ -177,7 +183,7 @@ def _sigma0_per_sweep(ds: Dataset) -> list:
         try:
             out.append(_sigma0_quadratic(s.B, s.R_xx, ds.config.geometry.squares))
         except ValueError as exc:
-            out.append(exc)
+            out.append(ValueError(f"T_bath = {s.T_bath:g} K, theta = {s.theta_deg:g} deg: {exc}"))
     return out
 
 
@@ -229,14 +235,10 @@ def _difference_curve(perp: SweepRecord, inpl: SweepRecord, squares: float):
     key_p = {round(float(b), 9): i for i, b in enumerate(perp.B)}
     key_i = {round(float(b), 9): i for i, b in enumerate(inpl.B)}
     common = sorted(set(key_p) & set(key_i))
-    B = np.array(common, dtype=float)
-    d = np.array(
-        [
-            squares * (1.0 / perp.R_xx[key_p[b]] - 1.0 / inpl.R_xx[key_i[b]])
-            for b in common
-        ]
-    )
-    return B, d
+    R_p = perp.R_xx[[key_p[b] for b in common]]
+    R_i = inpl.R_xx[[key_i[b] for b in common]]
+    with np.errstate(divide="ignore"):
+        return np.array(common, dtype=float), squares * (1.0 / R_p - 1.0 / R_i)
 
 
 @dataclass
@@ -249,7 +251,7 @@ class WlTemperature:
     fit: WlDifferenceFit
 
 
-def _wl_stage(ds: Dataset, phys: SamplePhysics) -> Tuple[dict, List[WlTemperature]]:
+def _wl_stage(ds: Dataset, sigma0: list, phys: SamplePhysics) -> Tuple[dict, List[WlTemperature]]:
     lo, hi = ds.config.fit_window
 
     by_T: Dict[float, Dict[float, SweepRecord]] = {}
@@ -271,6 +273,12 @@ def _wl_stage(ds: Dataset, phys: SamplePhysics) -> Tuple[dict, List[WlTemperatur
                 {"T_bath_K": T_key, "reason": "fewer than 10 shared points in window"}
             )
             continue
+        bad = ~np.isfinite(d[keep])
+        if bad.any():
+            raise ValueError(
+                f"T_bath = {T_key:g} K: non-finite difference conductivity "
+                f"at B = {B[keep][bad][0]:g} T (R_xx = 0?)"
+            )
         res = fit_wl_difference(B[keep], d[keep], phys.l_mfp, phys.n_2d)
         fitted.append(WlTemperature(T_key, B, d, res))
         rows.append(
@@ -308,7 +316,8 @@ def _wl_stage(ds: Dataset, phys: SamplePhysics) -> Tuple[dict, List[WlTemperatur
     return section, fitted
 
 
-def _powerlaw_stage(wl: List[WlTemperature], T_c: float):
+def _powerlaw_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature]):
+    T_c = ds.config.T_c
     pts = [(t.T_bath, t.fit.l_phi.value) for t in wl if t.fit.fit.converged and t.T_bath > T_c]
     if len(pts) < 3:
         raise MissingDataError(f"need at least 3 converged fits above T_c = {T_c:g} K")
@@ -324,7 +333,7 @@ def _powerlaw_stage(wl: List[WlTemperature], T_c: float):
     return section, res
 
 
-def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], l_mfp: float):
+def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: SamplePhysics):
     fits = [t for t in wl if t.fit.fit.converged]
     if len(fits) < 3:
         raise MissingDataError("need WL fits at 3 or more temperatures")
@@ -332,7 +341,7 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], l_mfp: f
         T=np.array([t.T_bath for t in fits]),
         l_phi=np.array([t.fit.l_phi.value for t in fits]),
         gamma=np.array([max(t.fit.gamma.value, 0.0) for t in fits]),
-        l_mfp=l_mfp,
+        l_mfp=phys.l_mfp,
     )
     # measured Delta sigma(B) per sweep, baseline removed per sweep
     squares = ds.config.geometry.squares
@@ -381,12 +390,16 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], l_mfp: f
 
 @dataclass
 class Report:
-    """Analysis output: stage results plus provenance, JSON-renderable."""
+    """Stage sections plus provenance, JSON-renderable; ``plots`` is built on first read."""
 
     sample: str
     stages: dict
     provenance: dict
-    plots: dict = field(default_factory=dict, repr=False)  # not serialized
+    stage_results: tuple = field(repr=False, compare=False)  # (ds, sigma0, typed results)
+
+    @functools.cached_property
+    def plots(self) -> dict:
+        return _plot_tables(*self.stage_results)
 
     def to_json(self) -> str:
         body = {
@@ -415,35 +428,41 @@ def _round_floats(obj):
     return obj
 
 
-def run_analysis(ds: Dataset) -> Report:
-    """Execute all stages, tolerating missing data with explicit markers.
+# (name, stage, upstream stages), upstream first. A stage takes the dataset, its sigma0
+# per sweep and the upstream typed results; it returns (section, typed result).
+STAGE_TABLE = (
+    ("hall", _hall_stage, ()),
+    ("wl", _wl_stage, ("hall",)),
+    ("powerlaw", _powerlaw_stage, ("wl",)),
+    ("collapse", _collapse_stage, ("wl", "hall")),
+)
+STAGES = tuple(name for name, _, _ in STAGE_TABLE)
 
-    A stage whose upstream stages are not all ok is skipped, naming the
-    first one that is not. Within a stage, MissingDataError marks it
+
+def run_analysis(ds: Dataset, sections: Sequence[str] = STAGES) -> Report:
+    """Run the stages that ``sections`` names and the stages upstream of them.
+
+    Only those stages appear in ``Report.stages``; the default runs all
+    four. A stage whose upstream stages are not all ok is skipped, naming
+    the first one that is not. Within a stage, MissingDataError marks it
     skipped and any other ValueError marks it an error.
     """
+    if not set(sections) <= set(STAGES):
+        raise ValueError(f"unknown section in {tuple(sections)}; the stages are {STAGES}")
+    wanted = set(sections)
+    for name, _, upstream in reversed(STAGE_TABLE):
+        if name in wanted:
+            wanted.update(upstream)
     sigma0 = _sigma0_per_sweep(ds)
-    # (name, stage function, upstream stages); a stage function takes the
-    # upstream typed results and returns (section minus status, typed result)
-    table = (
-        ("hall", lambda: _hall_stage(ds, sigma0), ()),
-        ("wl", lambda phys: _wl_stage(ds, phys), ("hall",)),
-        ("powerlaw", lambda wl: _powerlaw_stage(wl, ds.config.T_c), ("wl",)),
-        (
-            "collapse",
-            lambda wl, phys: _collapse_stage(ds, sigma0, wl, phys.l_mfp),
-            ("wl", "hall"),
-        ),
-    )
     stages: dict = {}
     results: dict = {}
-    for name, stage, upstream in table:
+    for name, stage, upstream in (row for row in STAGE_TABLE if row[0] in wanted):
         down = [u for u in upstream if u not in results]
         if down:
             stages[name] = {"status": "skipped", "reason": f"{down[0]} stage unavailable"}
             continue
         try:
-            section, results[name] = stage(*(results[u] for u in upstream))
+            section, results[name] = stage(ds, sigma0, *(results[u] for u in upstream))
             stages[name] = {"status": "ok", **section}
         except MissingDataError as exc:
             stages[name] = {"status": "skipped", "reason": str(exc)}
@@ -460,7 +479,7 @@ def run_analysis(ds: Dataset) -> Report:
         sample=ds.sample_id,
         stages=stages,
         provenance=provenance,
-        plots=_plot_tables(ds, sigma0, results),
+        stage_results=(ds, sigma0, results),
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,7 +109,7 @@ def parse_sweep_csv(path) -> list:
                 value = float(cell)
             except ValueError:
                 value = None
-            if value is None or not np.isfinite(value):
+            if value is None or not math.isfinite(value):
                 kind = "non-numeric" if value is None else "non-finite"
                 raise ValueError(f"{path}: row {line_no}: {kind} value {cell!r} in column {name}")
             return value

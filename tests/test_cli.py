@@ -167,6 +167,8 @@ def test_zero_resistance_row_is_a_stage_error(sweeps_csv, tmp_path, capsys):
     stages = json.loads((tmp_path / "S1_report.json").read_text())["stages"]
     assert stages["hall"]["status"] == "ok"
     assert stages["wl"]["status"] == "error"
+    assert "T_bath = 0.4 K" in stages["wl"]["message"]
+    assert "B = 1.5 T" in stages["wl"]["message"]
 
 
 def test_bad_fit_window(sweeps_csv, capsys):

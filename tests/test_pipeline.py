@@ -7,6 +7,7 @@ check for the whole CSV -> report chain.
 
 import dataclasses
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import deltamag.pipeline as pipeline
+from deltamag.cli import SECTION_OF, main
 from deltamag import (
     AnalysisConfig,
     Dataset,
@@ -166,6 +168,18 @@ def test_plot_tables_present(clean_run):
     assert np.allclose(cols["d_sigma_S"], cols["d_sigma_fit_S"], atol=1e-12)
 
 
+def golden_dict(sample_id, perp_only):
+    d = synth_dict(
+        temps=(0.1, 0.2, 0.4, 0.7, 1.0),
+        sample_id=sample_id,
+        t_sat_K=0.25,
+        noise={"relative_sigma": 0.002, "seed": 12},
+    )
+    if perp_only:
+        d["sweep_plan"] = [e for e in d["sweep_plan"] if e["theta_deg"] == 0.0]
+    return d
+
+
 @pytest.mark.parametrize("sample_id, perp_only", [("DEMO1", False), ("PERP1", True)])
 def test_report_matches_golden(tmp_path, sample_id, perp_only):
     """Report bytes are pinned across refactors.
@@ -175,15 +189,7 @@ def test_report_matches_golden(tmp_path, sample_id, perp_only):
     regenerate tests/golden/<sample>_report.json from run_analysis(...).to_json()
     and say why.
     """
-    d = synth_dict(
-        temps=(0.1, 0.2, 0.4, 0.7, 1.0),
-        sample_id=sample_id,
-        t_sat_K=0.25,
-        noise={"relative_sigma": 0.002, "seed": 12},
-    )
-    if perp_only:
-        d["sweep_plan"] = [e for e in d["sweep_plan"] if e["theta_deg"] == 0.0]
-    _, _, ds = build_dataset(tmp_path, d)
+    _, _, ds = build_dataset(tmp_path, golden_dict(sample_id, perp_only))
     golden = GOLDEN / f"{sample_id}_report.json"
     assert run_analysis(ds).to_json() == golden.read_text(encoding="utf-8")
 
@@ -191,6 +197,138 @@ def test_report_matches_golden(tmp_path, sample_id, perp_only):
 def test_report_json_deterministic(clean_run):
     ds2 = load_datasets([clean_run["path"]], AnalysisConfig())[0]
     assert run_analysis(ds2).to_json() == clean_run["report"].to_json()
+
+
+def zero_resistance(path, prefix):
+    """Set R_xx to 0 on the first row of ``path`` that starts with ``prefix``."""
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    fields = lines[i].split(",")
+    fields[4] = "0"
+    lines[i] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+VIEW_DATASETS = ("DEMO1", "PERP1", "NOHALL", "ZERO_INPLANE", "ZERO_HALL")
+
+
+@pytest.fixture(scope="module")
+def view_csvs(tmp_path_factory):
+    """Sweep files: the two golden datasets, no Hall data, and two R_xx = 0 cells."""
+    tmpdir = tmp_path_factory.mktemp("views")
+    no_hall = synth_dict(temps=(0.4, 0.7), num=41)
+    no_hall["sweep_plan"] = [e for e in no_hall["sweep_plan"] if e["theta_deg"] == 90.0]
+    dicts = {
+        "DEMO1": golden_dict("DEMO1", False),
+        "PERP1": golden_dict("PERP1", True),
+        "NOHALL": no_hall,
+        "ZERO_INPLANE": synth_dict(temps=(0.4, 0.7, 1.2), num=41),
+        "ZERO_HALL": synth_dict(temps=(0.4, 0.7, 1.2), num=41),
+    }
+    paths = {}
+    for name, d in dicts.items():
+        path = tmpdir / f"{name}_sweeps.csv"
+        write_sweep_csv(path, generate_dataset(SynthConfig.from_dict(d)))
+        paths[name] = path
+    # one point of one 0.4 K in-plane difference curve becomes infinite
+    zero_resistance(paths["ZERO_INPLANE"], "S1,0.4,90,1.5,")
+    # the Hall sweep (1.2 K, perpendicular) at B = 0, where sigma0 is extrapolated
+    zero_resistance(paths["ZERO_HALL"], "S1,1.2,0,0,")
+    return paths
+
+
+@pytest.mark.parametrize("name", VIEW_DATASETS)
+@pytest.mark.parametrize("command", sorted(SECTION_OF))
+def test_command_output_matches_full_analysis(view_csvs, tmp_path, capsys, name, command):
+    """Each command prints its sections exactly as a full analysis reports them."""
+    path = view_csvs[name]
+    full = run_analysis(load_datasets([path], AnalysisConfig())[0])
+    sections = SECTION_OF[command]
+    want_code = 0 if all(full.stages[s]["status"] == "ok" for s in sections) else 1
+    if command == "report":
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == want_code
+        assert (out / f"{full.sample}_report.json").read_text() == full.to_json()
+        write_report(full, tmp_path / "full")
+        for csv_path in sorted((tmp_path / "full").glob("*.csv")):
+            assert (out / csv_path.name).read_bytes() == csv_path.read_bytes()
+        assert len(list(out.iterdir())) == len(list((tmp_path / "full").iterdir()))
+    else:
+        assert main([command, str(path)]) == want_code
+        view = {"sample": full.sample, **{s: full.stages[s] for s in sections}}
+        text = json.dumps(pipeline._round_floats(view), sort_keys=True, indent=2)
+        assert capsys.readouterr().out == text + "\n"
+
+
+def test_zero_hall_resistance_is_a_hall_error(view_csvs, capsys):
+    assert main(["hall", str(view_csvs["ZERO_HALL"])]) == 1
+    hall = json.loads(capsys.readouterr().out)["hall"]
+    assert hall["status"] == "error"
+    assert "T_bath = 1.2 K, theta = 0 deg" in hall["message"]
+    assert "non-positive conductivity" in hall["message"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a stage outside the requested sections ran")
+
+
+@pytest.mark.parametrize(
+    "command, stages, refused",
+    [
+        ("hall", ["hall"], ["fit_wl_difference", "fit_coherence_power_law", "collapse_teff"]),
+        ("fit-wl", ["hall", "wl", "powerlaw"], ["collapse_teff", "isolate_aa"]),
+        ("collapse", ["hall", "wl", "collapse"], ["fit_coherence_power_law"]),
+    ],
+    ids=["hall", "fit-wl", "collapse"],
+)
+def test_commands_run_only_their_stages(view_csvs, monkeypatch, capsys, command, stages, refused):
+    for attr in refused:
+        monkeypatch.setattr(pipeline, attr, _refuse)
+    assert main([command, str(view_csvs["DEMO1"])]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == sorted(["sample", *stages])
+    ds = load_datasets([view_csvs["DEMO1"]], AnalysisConfig())[0]
+    report = pipeline.run_analysis(ds, SECTION_OF[command])
+    assert list(report.stages) == stages
+
+
+@pytest.mark.parametrize(
+    "sections, stages",
+    [
+        (("powerlaw",), ["hall", "wl", "powerlaw"]),
+        (("collapse",), ["hall", "wl", "collapse"]),
+        (("collapse", "hall"), ["hall", "wl", "collapse"]),
+        ((), []),
+    ],
+    ids=["powerlaw", "collapse", "collapse-hall", "none"],
+)
+def test_sections_run_their_upstream_stages(clean_run, sections, stages):
+    report = run_analysis(clean_run["ds"], sections)
+    assert list(report.stages) == stages
+    for name in stages:
+        assert report.stages[name] == clean_run["report"].stages[name]
+
+
+def test_unknown_section_is_rejected(clean_run):
+    with pytest.raises(ValueError, match="unknown section"):
+        run_analysis(clean_run["ds"], ("hall", "wl_fit"))
+
+
+PLOTS_DEMO1_SHA256 = "885cec77648ce6db612e26e05a39c1c6008e0dace269cf928d7d2a3877ffaa09"
+
+
+def test_plot_tables_of_a_full_run_are_pinned(view_csvs):
+    """The plot tables of DEMO1, at 6 significant digits, hash to a fixed digest.
+
+    A change that alters the tables must update the digest and say why.
+    """
+    report = run_analysis(load_datasets([view_csvs["DEMO1"]], AnalysisConfig())[0])
+    tables = {k: [[n, np.asarray(a).tolist()] for n, a in cols] for k, cols in report.plots.items()}
+    text = json.dumps(pipeline._round_floats(tables), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PLOTS_DEMO1_SHA256
+    # a partial run has the tables its stages support
+    hall_only = run_analysis(load_datasets([view_csvs["DEMO1"]], AnalysisConfig())[0], ("hall",))
+    assert set(hall_only.plots) == {"sigma0"}
+    assert hall_only.plots["sigma0"] is hall_only.plots["sigma0"]
 
 
 def test_write_report_files(clean_run, tmp_path):
@@ -384,3 +522,15 @@ def test_sigma0_quadratic():
         pipeline._sigma0_quadratic(B[:2], R_xx[:2], 10.0)
     with pytest.raises(ValueError, match="degenerate"):
         pipeline._sigma0_quadratic([0.0, 0.0, 0.1], [10.0, 10.0, 10.0], 10.0)
+
+
+@pytest.mark.parametrize("r0", [0.0, -5.0e4])
+def test_sigma0_rejects_nonpositive_resistance(r0):
+    B = np.linspace(-0.5, 0.5, 11)
+    R_xx = np.full(B.size, 5.0e4)
+    R_xx[5] = r0  # B = 0
+    with pytest.raises(ValueError, match="non-positive conductivity near B = 0"):
+        pipeline._sigma0_quadratic(B, R_xx, 10.0)
+    R_xx[5] = 5.0e4
+    R_xx[0] = r0  # far from B = 0: not used
+    assert pipeline._sigma0_quadratic(B, R_xx, 10.0) == pytest.approx(2.0e-4, rel=1e-12)
