@@ -104,12 +104,15 @@ def _cmd_analyze(args) -> int:
     ok = True
     for ds in datasets:
         report = run_analysis(ds, sections)
-        ok &= all(report.stages[name].get("status") == "ok" for name in sections)
+        for name in sections:
+            if report.stages[name].get("status") != "ok":
+                ok = False
         if args.command == "report":
             path = write_report(report, Path(args.out or "."))
             print(path)
         else:
-            view = {"sample": report.sample, **{name: report.stages[name] for name in sections}}
+            view = {"sample": report.sample}
+            view.update({name: report.stages[name] for name in sections})
             text = json.dumps(_round_floats(view), sort_keys=True, indent=2)
             print(text)
             if args.out:

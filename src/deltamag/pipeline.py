@@ -2,17 +2,15 @@
 
 Each stage returns its report section and a typed result; later stages and
 the plot tables read those results, so every quantity is derived once. Only
-the requested sections and their upstream stages run, and the plot tables
-are built when first read. A failed stage is reported and everything
-downstream is marked skipped, so a partial dataset still yields a partial
-report. Reports render to JSON deterministically (sorted keys, 6
-significant digits), with input hashes and the configuration echoed for
-provenance.
+the requested sections and their upstream stages run. A failed stage is
+reported and everything downstream is marked skipped, so a partial dataset
+still yields a partial report. Reports render to JSON deterministically
+(sorted keys, 6 significant digits), with input hashes and the
+configuration echoed for provenance.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -235,10 +233,15 @@ def _difference_curve(perp: SweepRecord, inpl: SweepRecord, squares: float):
     key_p = {round(float(b), 9): i for i, b in enumerate(perp.B)}
     key_i = {round(float(b), 9): i for i, b in enumerate(inpl.B)}
     common = sorted(set(key_p) & set(key_i))
-    R_p = perp.R_xx[[key_p[b] for b in common]]
-    R_i = inpl.R_xx[[key_i[b] for b in common]]
+    B = np.array(common, dtype=float)
     with np.errstate(divide="ignore"):
-        return np.array(common, dtype=float), squares * (1.0 / R_p - 1.0 / R_i)
+        d = np.array(
+            [
+                squares * (1.0 / perp.R_xx[key_p[b]] - 1.0 / inpl.R_xx[key_i[b]])
+                for b in common
+            ]
+        )
+    return B, d
 
 
 @dataclass
@@ -390,16 +393,12 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: Sa
 
 @dataclass
 class Report:
-    """Stage sections plus provenance, JSON-renderable; ``plots`` is built on first read."""
+    """Analysis output: stage results plus provenance, JSON-renderable."""
 
     sample: str
     stages: dict
     provenance: dict
-    stage_results: tuple = field(repr=False, compare=False)  # (ds, sigma0, typed results)
-
-    @functools.cached_property
-    def plots(self) -> dict:
-        return _plot_tables(*self.stage_results)
+    plots: dict = field(default_factory=dict, repr=False)  # not serialized
 
     def to_json(self) -> str:
         body = {
@@ -479,7 +478,7 @@ def run_analysis(ds: Dataset, sections: Sequence[str] = STAGES) -> Report:
         sample=ds.sample_id,
         stages=stages,
         provenance=provenance,
-        stage_results=(ds, sigma0, results),
+        plots=_plot_tables(ds, sigma0, results),
     )
 
 

@@ -255,17 +255,13 @@ def test_wl_difference_point_count_guards():
     B = np.linspace(0.1, 2.0, 7)
     with pytest.warns(UserWarning, match="fewer than 10"):
         fit_wl_difference(B, difference_curve(L07, B), L07.si("l_mfp"), L07.si("n_2d"))
-
-
-@pytest.mark.parametrize(
-    "l_mfp, n_2d",
-    [(0.0, 2e17), (math.inf, 2e17), (-3e-9, 2e17), (math.nan, 2e17), (3e-9, 0.0), (3e-9, math.inf)],
-)
-def test_wl_difference_rejects_unusable_hall_inputs(l_mfp, n_2d):
     # an R_xx of 0 on the Hall sweep once reached the fit as l_mfp = inf
     B = np.linspace(-2.0, 2.0, 40)
-    with pytest.raises(ValueError, match="must be finite and > 0"):
-        fit_wl_difference(B, difference_curve(L07, B), l_mfp, n_2d)
+    for l_mfp, n_2d in [
+        (0.0, 2e17), (math.inf, 2e17), (-3e-9, 2e17), (math.nan, 2e17), (3e-9, 0.0), (3e-9, math.inf)
+    ]:
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            fit_wl_difference(B, difference_curve(L07, B), l_mfp, n_2d)
 
 
 def test_wl_difference_thin_layer_limit():

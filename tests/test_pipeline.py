@@ -328,7 +328,6 @@ def test_plot_tables_of_a_full_run_are_pinned(view_csvs):
     # a partial run has the tables its stages support
     hall_only = run_analysis(load_datasets([view_csvs["DEMO1"]], AnalysisConfig())[0], ("hall",))
     assert set(hall_only.plots) == {"sigma0"}
-    assert hall_only.plots["sigma0"] is hall_only.plots["sigma0"]
 
 
 def test_write_report_files(clean_run, tmp_path):
@@ -522,15 +521,11 @@ def test_sigma0_quadratic():
         pipeline._sigma0_quadratic(B[:2], R_xx[:2], 10.0)
     with pytest.raises(ValueError, match="degenerate"):
         pipeline._sigma0_quadratic([0.0, 0.0, 0.1], [10.0, 10.0, 10.0], 10.0)
-
-
-@pytest.mark.parametrize("r0", [0.0, -5.0e4])
-def test_sigma0_rejects_nonpositive_resistance(r0):
-    B = np.linspace(-0.5, 0.5, 11)
-    R_xx = np.full(B.size, 5.0e4)
-    R_xx[5] = r0  # B = 0
-    with pytest.raises(ValueError, match="non-positive conductivity near B = 0"):
-        pipeline._sigma0_quadratic(B, R_xx, 10.0)
-    R_xx[5] = 5.0e4
-    R_xx[0] = r0  # far from B = 0: not used
-    assert pipeline._sigma0_quadratic(B, R_xx, 10.0) == pytest.approx(2.0e-4, rel=1e-12)
+    for r0 in (0.0, -5.0e4):
+        R_flat = np.full(B.size, 5.0e4)
+        R_flat[5] = r0  # B = 0
+        with pytest.raises(ValueError, match="non-positive conductivity near B = 0"):
+            pipeline._sigma0_quadratic(B, R_flat, 10.0)
+        R_flat[5] = 5.0e4
+        R_flat[0] = r0  # far from B = 0: not used
+        assert pipeline._sigma0_quadratic(B, R_flat, 10.0) == pytest.approx(2.0e-4, rel=1e-12)
