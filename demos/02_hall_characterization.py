@@ -6,12 +6,7 @@ from their (n, mu) columns alone and prints them against the quoted values.
 
 import numpy as np
 
-from deltamag import (
-    Geometry,
-    HallSweep,
-    REFERENCE_LAYERS,
-    density_from_hall,
-)
+from deltamag import REFERENCE_LAYERS, density_from_hall
 from deltamag.constants import E_CHARGE
 
 # a 50-point Hall trace with 1% gain noise on the pickup
@@ -20,14 +15,7 @@ n_true = rec.si("n_2d")
 B = np.linspace(-2.0, 2.0, 50)
 rng = np.random.default_rng(0)
 R_xy = B / (n_true * E_CHARGE) * (1.0 + 0.01 * rng.standard_normal(B.size))
-sweep = HallSweep(
-    B=B,
-    R_xy=R_xy,
-    R_xx=np.full(B.size, 1.0 / rec.si("sigma_xx") * 10.0),
-    T_bath=4.2,
-    geometry=Geometry(200e-6, 20e-6),
-)
-n = density_from_hall(sweep)
+n = density_from_hall(B, R_xy)
 print(f"layer {rec.label}: n = ({n.value:.3e} +- {n.stderr:.1e}) m^-2")
 print(f"truth            {n_true:.3e} m^-2, off by {abs(n.value / n_true - 1):.2%}")
 print()

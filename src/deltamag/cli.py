@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,20 +24,6 @@ SECTION_OF = {
     "collapse": ("hall", "wl", "collapse"),
     "report": ("hall", "wl", "powerlaw", "collapse"),
 }
-
-
-def _shared_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", metavar="JSON", help="analysis options file")
-    p.add_argument("--out", metavar="DIR", help="output directory")
-    p.add_argument("--seed", type=int, help="override the synthesis seed")
-    p.add_argument(
-        "--fit-window",
-        metavar="BMIN,BMAX",
-        help="field window for the WL fit, tesla (default 0,2)",
-    )
-    p.add_argument("--h-min", type=float, metavar="F", help="log-branch floor in h (default 3)")
-    p.add_argument("--anchor", type=float, metavar="T", help="anchor bath temperature, K")
-    p.add_argument("--kappa", type=float, metavar="F", help="r_s constant, nm^-1 (default 3.37)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,11 +42,21 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("files", nargs="+", metavar="sweeps.csv")
-        _shared_flags(p)
+        p.add_argument("--config", metavar="JSON", help="analysis options file")
+        p.add_argument("--out", metavar="DIR", help="output directory")
+        p.add_argument(
+            "--fit-window",
+            metavar="BMIN,BMAX",
+            help="field window for the WL fit, tesla (default 0,2)",
+        )
+        p.add_argument("--h-min", type=float, metavar="F", help="log-branch floor in h (default 3)")
+        p.add_argument("--anchor", type=float, metavar="T", help="anchor bath temperature, K")
+        p.add_argument("--kappa", type=float, metavar="F", help="r_s constant, nm^-1 (default 3.37)")
 
     p = sub.add_parser("synth", help="generate synthetic sweep files from a config")
     p.add_argument("files", nargs=1, metavar="config.json")
-    _shared_flags(p)
+    p.add_argument("--out", metavar="DIR", help="output directory")
+    p.add_argument("--seed", type=int, help="override the synthesis seed")
 
     return parser
 
@@ -123,8 +120,11 @@ def _cmd_analyze(args) -> int:
     return 0 if ok else 1
 
 
+_parser = functools.cache(build_parser)  # built once per process, on first use
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "synth":
             return _cmd_synth(args)

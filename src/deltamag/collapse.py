@@ -55,16 +55,11 @@ class OrientedCurve:
 
 @dataclass
 class AaCurve:
-    """Interaction residue vs field at one bath temperature.
-
-    ``T_eff`` is filled by the collapse; until then the bath value is the
-    best guess.
-    """
+    """Interaction residue vs field at one bath temperature."""
 
     T_bath: float
     B: np.ndarray
     delta_sigma: np.ndarray
-    T_eff: Optional[float] = None
 
     def __post_init__(self):
         self.B = np.asarray(self.B, dtype=float)
@@ -183,7 +178,8 @@ def isolate_aa(
 
 
 def _pooled_points(curves, t_eff, g_factor):
-    xs, ys, ids = [], [], []
+    """ln h, residue, curve index and signed B of every nonzero-field point."""
+    xs, ys, ids, Bs = [], [], [], []
     for i, c in enumerate(curves):
         absB = np.abs(c.B)
         keep = absB > 0.0
@@ -193,9 +189,10 @@ def _pooled_points(curves, t_eff, g_factor):
         xs.append(np.log(h))
         ys.append(c.delta_sigma[keep])
         ids.append(np.full(int(keep.sum()), i))
+        Bs.append(c.B[keep])
     if len(xs) < 2:
         raise ValueError("need at least 2 curves with nonzero-field points")
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ids)
+    return tuple(np.concatenate(a) for a in (xs, ys, ids, Bs))
 
 
 def _lstsq(V, Y):
@@ -263,11 +260,11 @@ def dispersion(
     kept. Deterministic and invariant under curve reordering.
     """
     if t_eff is None:
-        t_eff = [c.T_eff if c.T_eff is not None else c.T_bath for c in curves]
+        t_eff = [c.T_bath for c in curves]
     t_eff = np.asarray(t_eff, dtype=float)
     if t_eff.shape != (len(curves),):
         raise ValueError("t_eff must provide one temperature per curve")
-    x, y, ids = _pooled_points(curves, t_eff, g_factor)
+    x, y, ids, _ = _pooled_points(curves, t_eff, g_factor)
 
     span = float(x.max() - x.min())
     if span <= 0.0:
@@ -295,13 +292,23 @@ def dispersion(
 
 @dataclass
 class CollapseResult:
-    """Collapse output: effective temperatures, master curve, F."""
+    """Collapse output: effective temperatures, master curve, F.
+
+    The pooled points are the nonzero-field points the fit used, one array
+    entry per point.
+    """
 
     t_bath: np.ndarray
     t_eff: np.ndarray
     t_eff_stderr: np.ndarray  # 0 for the gauge-fixed anchor
     anchor: int
-    dispersion: float
+    dispersion: float  # at t_eff
+    dispersion_at_bath: float
+    point_curve: np.ndarray  # index into t_bath and t_eff
+    point_B: np.ndarray  # signed field, T
+    ln_h_bath: np.ndarray
+    ln_h_eff: np.ndarray
+    delta_sigma: np.ndarray  # interaction residue, S
     master_curve: np.ndarray  # rows of (ln h, delta_sigma)
     F: Measured
     intercept_check: float
@@ -328,8 +335,10 @@ def collapse_teff(
     projection): at degree _COARSE_DEGREE from T_bath, then _FINE_DEGREE,
     whose covariance gives the T_eff standard errors.
 
-    Returns a CollapseResult; F comes from the slope of the binned master
-    curve on h >= h_min (NaN if too few bins reach that regime).
+    Returns a CollapseResult holding the pooled points and the dispersion
+    at the bath and at the fitted temperatures; F comes from the slope of
+    the binned master curve on h >= h_min (NaN if too few bins reach that
+    regime).
     """
     if len(curves) < 3:
         raise ValueError("need at least 3 temperatures to collapse")
@@ -340,9 +349,9 @@ def collapse_teff(
         raise ValueError("anchor index out of range")
 
     # raises early if the curves share no h support
-    dispersion(curves, t_bath, g_factor=g_factor, n_bins=n_bins)
+    at_bath = dispersion(curves, t_bath, g_factor=g_factor, n_bins=n_bins)
 
-    x_bath, y, ids = _pooled_points(curves, t_bath, g_factor)  # x = ln h at T_bath
+    x_bath, y, ids, B = _pooled_points(curves, t_bath, g_factor)  # x = ln h at T_bath
     yn = y / (G0 / math.pi)  # dimensionless, so levmar's tolerances apply
     n_free = len(curves) - 1
     unknowns = _FINE_DEGREE + 1 + n_free  # series coefficients and temperatures
@@ -385,10 +394,7 @@ def collapse_teff(
     var = np.insert(np.diag(fine.covariance), anchor, 0.0)
     best = dispersion(curves, t_eff, g_factor=g_factor, n_bins=n_bins)
 
-    for c, t in zip(curves, t_eff):
-        c.T_eff = float(t)
-
-    x, y, _ = _pooled_points(curves, t_eff, g_factor)
+    x = _pooled_points(curves, t_eff, g_factor)[0]
     bin_idx = _bin_index(x, n_bins)
     counts = np.bincount(bin_idx, minlength=n_bins)
     # bin means in both coordinates; using the mean x rather than the bin
@@ -415,6 +421,12 @@ def collapse_teff(
         t_eff_stderr=t_eff * np.sqrt(np.maximum(var, 0.0)),
         anchor=anchor,
         dispersion=best,
+        dispersion_at_bath=at_bath,
+        point_curve=ids,
+        point_B=B,
+        ln_h_bath=x_bath,
+        ln_h_eff=x,
+        delta_sigma=y,
         master_curve=master,
         F=F,
         intercept_check=ref,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,35 +40,8 @@ class Geometry:
 
 
 @dataclass
-class HallSweep:
-    """One magnetic-field sweep with transverse and longitudinal resistance."""
-
-    B: np.ndarray
-    R_xy: np.ndarray
-    R_xx: np.ndarray
-    T_bath: float
-    geometry: Geometry
-
-    def __post_init__(self):
-        self.B = np.asarray(self.B, dtype=float)
-        self.R_xy = np.asarray(self.R_xy, dtype=float)
-        self.R_xx = np.asarray(self.R_xx, dtype=float)
-        if not (len(self.B) == len(self.R_xy) == len(self.R_xx)):
-            raise ValueError("B, R_xy and R_xx must have equal length")
-        dB = np.diff(self.B)
-        if len(dB) and not (np.all(dB > 0.0) or np.all(dB < 0.0)):
-            raise ValueError("B must be strictly monotone")
-        if not self.T_bath > 0.0:
-            raise ValueError("T_bath must be positive")
-
-
-@dataclass
 class SamplePhysics:
-    """Physical parameters of one electron layer, all in SI.
-
-    ``delta`` and ``l_phi`` stay None until a weak-localization fit has
-    filled them in.
-    """
+    """Physical parameters of one electron layer, all in SI."""
 
     n_2d: float
     mu: float
@@ -78,8 +50,6 @@ class SamplePhysics:
     k_f: float
     kf_l: float
     r_s: float
-    delta: Optional[float] = None
-    l_phi: Optional[float] = None
 
     def __post_init__(self):
         sigma_def = self.n_2d * E_CHARGE * self.mu
@@ -89,21 +59,25 @@ class SamplePhysics:
             raise ValueError("kf_l inconsistent with k_f * l_mfp")
 
 
-def density_from_hall(sweep: HallSweep) -> Measured:
-    """Sheet density from the linear Hall slope, with standard error.
+def density_from_hall(B, R_xy) -> Measured:
+    """Sheet density from the linear Hall slope of R_xy(B), with standard error.
 
     Ordinary least squares of R_xy on B with an intercept; the intercept
     absorbs any contact offset, so adding a constant to R_xy leaves the
     density unchanged. n = 1 / (e * dR_xy/dB).
     """
-    if len(sweep.B) < 3:
+    B = np.asarray(B, dtype=float)
+    R_xy = np.asarray(R_xy, dtype=float)
+    if B.shape != R_xy.shape or B.ndim != 1:
+        raise ValueError("B and R_xy must be 1-d arrays of equal length")
+    if len(B) < 3:
         raise ValueError("need at least 3 field points")
-    span = float(np.max(sweep.B) - np.min(sweep.B))
+    span = float(np.max(B) - np.min(B))
     if span < 0.5:
         raise ValueError(f"field span {span:.3g} T is below the required 0.5 T")
-    if np.any(~np.isfinite(sweep.R_xy)):
+    if np.any(~np.isfinite(R_xy)):
         raise ValueError("R_xy contains non-finite values")
-    res = linear_fit(sweep.B, sweep.R_xy)
+    res = linear_fit(B, R_xy)
     slope = res.slope
     if slope <= 0.0:
         raise ValueError(

@@ -22,23 +22,10 @@ import numpy as np
 
 from . import models
 from ._version import __version__
-from .collapse import (
-    OrientedCurve,
-    WlFitTable,
-    collapse_teff,
-    dispersion,
-    isolate_aa,
-)
+from .collapse import OrientedCurve, WlFitTable, collapse_teff, isolate_aa
 from .constants import G0, Quantity, _number, _pair, from_si, to_si
 from .fit import Measured, WlDifferenceFit, fit_coherence_power_law, fit_wl_difference
-from .hall import (
-    Geometry,
-    HallSweep,
-    KAPPA_DEFAULT,
-    SamplePhysics,
-    characterize,
-    density_from_hall,
-)
+from .hall import Geometry, KAPPA_DEFAULT, SamplePhysics, characterize, density_from_hall
 from .sweepio import SweepRecord, parse_sweep_csv, write_plot_csv
 
 SIGMA0_METHOD = "quadratic extrapolation of the three lowest-|B| points"
@@ -203,14 +190,7 @@ def _hall_stage(ds: Dataset, sigma0: list) -> Tuple[dict, SamplePhysics]:
     if not hall_sweeps:
         raise ValueError("no sweep with Hall data (R_xy)")
     sweep, s0 = max(hall_sweeps, key=lambda p: (p[0].T_bath, len(p[0].B)))
-    hs = HallSweep(
-        B=sweep.B,
-        R_xy=sweep.R_xy,
-        R_xx=sweep.R_xx,
-        T_bath=sweep.T_bath,
-        geometry=ds.config.geometry,
-    )
-    n = density_from_hall(hs)
+    n = density_from_hall(sweep.B, sweep.R_xy)
     sigma_xx = _checked(s0)
     phys = characterize(n.value, sigma_xx, ds.config.kappa)
     rel_n = n.stderr / n.value
@@ -367,7 +347,6 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: Sa
         anchor = int(
             np.argmin([abs(c.T_bath - ds.config.anchor_T) for c in aa])
         )
-    at_bath = dispersion(aa, g_factor=ds.config.g_factor)
     result = collapse_teff(
         aa,
         anchor,
@@ -377,7 +356,7 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: Sa
     section = {
         "anchor_T_bath_K": float(result.t_bath[result.anchor]),
         "dispersion": result.dispersion,
-        "dispersion_at_bath": at_bath,
+        "dispersion_at_bath": result.dispersion_at_bath,
         "h_min": ds.config.h_min,
         "F": _measured(result.F),
         "intercept_check": result.intercept_check,
@@ -388,7 +367,7 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: Sa
             for tb, te, se in zip(result.t_bath, result.t_eff, result.t_eff_stderr)
         ],
     }
-    return section, (result, aa)
+    return section, result
 
 
 @dataclass
@@ -525,30 +504,19 @@ def _plot_tables(ds: Dataset, sigma0: list, results: dict) -> dict:
         ]
 
     if "collapse" in results:
-        collapse_result, aa_curves = results["collapse"]
-        rows = {"T_bath_K": [], "B_T": [], "ln_h_bath": [], "ln_h_eff": [], "d_sigma_aa_S": []}
-        for c, te in zip(aa_curves, collapse_result.t_eff):
-            keep = np.abs(c.B) > 0.0
-            absB = np.abs(c.B[keep])
-            rows["T_bath_K"].extend([c.T_bath] * int(keep.sum()))
-            rows["B_T"].extend(c.B[keep].tolist())
-            rows["ln_h_bath"].extend(
-                np.log(models.reduced_field(absB, c.T_bath, ds.config.g_factor)).tolist()
-            )
-            rows["ln_h_eff"].extend(
-                np.log(models.reduced_field(absB, te, ds.config.g_factor)).tolist()
-            )
-            rows["d_sigma_aa_S"].extend(c.delta_sigma[keep].tolist())
-        plots["aa_collapse"] = [(k, np.array(v)) for k, v in rows.items()]
+        col = results["collapse"]
+        plots["aa_collapse"] = [
+            ("T_bath_K", col.t_bath[col.point_curve]),
+            ("B_T", col.point_B),
+            ("ln_h_bath", col.ln_h_bath),
+            ("ln_h_eff", col.ln_h_eff),
+            ("d_sigma_aa_S", col.delta_sigma),
+        ]
         plots["aa_master"] = [
-            ("ln_h", collapse_result.master_curve[:, 0]),
-            ("d_sigma_S", collapse_result.master_curve[:, 1]),
+            ("ln_h", col.master_curve[:, 0]),
+            ("d_sigma_S", col.master_curve[:, 1]),
         ]
     return plots
-
-
-def stage_statuses(report: Report) -> Dict[str, str]:
-    return {k: v.get("status", "error") for k, v in report.stages.items()}
 
 
 def write_report(report: Report, outdir) -> Path:

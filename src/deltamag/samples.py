@@ -17,7 +17,6 @@ from typing import Tuple
 
 from .constants import E_CHARGE
 from .hall import KAPPA_DEFAULT, SamplePhysics, characterize
-from .models import WlParams
 
 Value = Tuple[float, float]  # (value, one-sigma error)
 
@@ -59,13 +58,7 @@ class LayerRecord:
         """SamplePhysics derived from the density and mobility columns."""
         n = self.si("n_2d")
         mu = self.si("mu")
-        sp = characterize(n, n * mu * E_CHARGE, kappa)
-        sp.l_phi = self.si("l_phi")
-        sp.delta = self.si("delta")
-        return sp
-
-    def wl_params(self) -> WlParams:
-        return WlParams(l_phi=self.si("l_phi"), l_mfp=self.si("l_mfp"))
+        return characterize(n, n * mu * E_CHARGE, kappa)
 
 
 REFERENCE_LAYERS = (

@@ -243,6 +243,15 @@ def test_no_subcommand_is_a_usage_error(capsys):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag", [("hall", "--seed"), ("synth", "--kappa")])
+def test_flag_a_command_does_not_read_is_a_usage_error(command, flag, sweeps_csv, tmp_path, capsys):
+    infile = sweeps_csv if command == "hall" else write_config(tmp_path / "config.json")
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, str(infile), flag, "3", "--out", str(tmp_path)])
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])

@@ -248,9 +248,16 @@ def test_collapse_noiseless_recovers_saturation():
     # absolute T_eff carries the anchor gauge: the anchor is pinned to its
     # bath value, and that common factor surfaces in the reference constant
     assert res.intercept_check == pytest.approx(1.3 * true[5] / temps[5], rel=0.01)
-    # the found temperatures are written back onto the curves
-    for c, t in zip(curves, res.t_eff):
-        assert c.T_eff == t
+    # the result carries the dispersion at the bath temperatures and the
+    # pooled points it fitted: every nonzero-field point of every curve
+    assert res.dispersion_at_bath == dispersion(curves)
+    assert res.point_B.size == sum(int(np.count_nonzero(c.B)) for c in curves)
+    for i, c in enumerate(curves):
+        mine, nz = res.point_curve == i, c.B != 0.0
+        np.testing.assert_array_equal(res.point_B[mine], c.B[nz])
+        np.testing.assert_array_equal(res.delta_sigma[mine], c.delta_sigma[nz])
+        for ln_h, t in ((res.ln_h_bath, c.T_bath), (res.ln_h_eff, res.t_eff[i])):
+            np.testing.assert_array_equal(ln_h[mine], np.log(reduced_field(np.abs(c.B[nz]), t)))
 
 
 def test_collapse_alternate_anchor():

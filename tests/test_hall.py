@@ -5,7 +5,6 @@ import pytest
 
 from deltamag import (
     Geometry,
-    HallSweep,
     SamplePhysics,
     characterize,
     density_from_hall,
@@ -26,19 +25,19 @@ def make_sweep(n_2d, n_points=50, offset=0.0, noise=None, seed=0):
     if noise is not None:
         rng = np.random.default_rng(seed)
         R_xy = R_xy * (1.0 + noise * rng.standard_normal(B.size))
-    return HallSweep(B=B, R_xy=R_xy, R_xx=np.full(B.size, 800.0), T_bath=4.0, geometry=GEO)
+    return B, R_xy
 
 
 def test_density_noiseless_exact():
-    m = density_from_hall(make_sweep(1.18e17))
+    m = density_from_hall(*make_sweep(1.18e17))
     assert m.value == pytest.approx(1.18e17, rel=1e-12)
     assert m.stderr / m.value < 1e-10
 
 
 def test_density_ignores_contact_offset():
     # an antisymmetrization offset in R_xy shifts the intercept only
-    a = density_from_hall(make_sweep(2.14e17))
-    b = density_from_hall(make_sweep(2.14e17, offset=5.0))
+    a = density_from_hall(*make_sweep(2.14e17))
+    b = density_from_hall(*make_sweep(2.14e17, offset=5.0))
     assert a.value == pytest.approx(b.value, rel=1e-12)
 
 
@@ -46,7 +45,7 @@ def test_density_noise_coverage():
     # 1% multiplicative noise on R_xy, 50 points: n lands within 1% almost always
     hits = 0
     for seed in range(1000):
-        m = density_from_hall(make_sweep(1.18e17, noise=0.01, seed=seed))
+        m = density_from_hall(*make_sweep(1.18e17, noise=0.01, seed=seed))
         if abs(m.value - 1.18e17) / 1.18e17 < 0.01:
             hits += 1
     assert hits >= 950
@@ -54,37 +53,27 @@ def test_density_noise_coverage():
 
 def test_density_rejects_wrong_carrier_sign():
     B = np.linspace(-2.0, 2.0, 20)
-    sweep = HallSweep(
-        B=B, R_xy=-B / (1e17 * E_CHARGE), R_xx=np.full(20, 800.0), T_bath=4.0, geometry=GEO
-    )
     with pytest.raises(ValueError, match="carrier sign"):
-        density_from_hall(sweep)
+        density_from_hall(B, -B / (1e17 * E_CHARGE))
 
 
 def test_density_needs_field_span():
     B = np.linspace(-0.1, 0.1, 20)
-    sweep = HallSweep(
-        B=B, R_xy=B / (1e17 * E_CHARGE), R_xx=np.full(20, 800.0), T_bath=4.0, geometry=GEO
-    )
     with pytest.raises(ValueError, match="span"):
-        density_from_hall(sweep)
+        density_from_hall(B, B / (1e17 * E_CHARGE))
 
 
 def test_hall_sweep_validation():
-    B = np.array([0.0, 1.0, 0.5])
-    with pytest.raises(ValueError, match="monotone"):
-        HallSweep(B=B, R_xy=B, R_xx=B, T_bath=4.0, geometry=GEO)
-    with pytest.raises(ValueError):
-        HallSweep(B=np.arange(3.0), R_xy=np.arange(4.0), R_xx=np.arange(3.0), T_bath=4.0, geometry=GEO)
+    with pytest.raises(ValueError, match="equal length"):
+        density_from_hall(np.arange(3.0), np.arange(4.0))
 
 
 def test_density_rejects_nonfinite_r_xy():
     B = np.linspace(-1.0, 1.0, 20)
     R_xy = B / (1e17 * E_CHARGE)
     R_xy[3] = np.nan
-    sweep = HallSweep(B=B, R_xy=R_xy, R_xx=np.full(20, 800.0), T_bath=4.0, geometry=GEO)
     with pytest.raises(ValueError, match="finite"):
-        density_from_hall(sweep)
+        density_from_hall(B, R_xy)
 
 
 def test_geometry():

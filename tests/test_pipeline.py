@@ -84,7 +84,7 @@ def clean_run(tmp_path_factory):
 
 
 def test_all_stages_ok(clean_run):
-    statuses = pipeline.stage_statuses(clean_run["report"])
+    statuses = {name: stage["status"] for name, stage in clean_run["report"].stages.items()}
     assert statuses == {
         "hall": "ok",
         "wl": "ok",
