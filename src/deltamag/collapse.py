@@ -314,6 +314,8 @@ class CollapseResult:
     intercept_check: float
     converged: bool  # both series fits
     iterations: int  # summed over both series fits
+    nfev: int  # residual evaluations, summed over both series fits
+    reasons: tuple  # levmar's stopping tests of the coarse and the fine fit
 
 
 def collapse_teff(
@@ -352,7 +354,7 @@ def collapse_teff(
     at_bath = dispersion(curves, t_bath, g_factor=g_factor, n_bins=n_bins)
 
     x_bath, y, ids, B = _pooled_points(curves, t_bath, g_factor)  # x = ln h at T_bath
-    yn = y / (G0 / math.pi)  # dimensionless, so levmar's tolerances apply
+    yn = y / (G0 / math.pi)  # G0/pi units; the fit sees them only through rounding
     n_free = len(curves) - 1
     unknowns = _FINE_DEGREE + 1 + n_free  # series coefficients and temperatures
     if yn.size <= unknowns:
@@ -432,4 +434,6 @@ def collapse_teff(
         intercept_check=ref,
         converged=coarse.converged and fine.converged,
         iterations=coarse.iterations + fine.iterations,
+        nfev=coarse.nfev + fine.nfev,
+        reasons=(coarse.reason, fine.reason),
     )

@@ -91,6 +91,8 @@ class FitResult:
     bounds_active: np.ndarray
     jacobian: np.ndarray  # at ``params``
     residual: np.ndarray  # at ``params``
+    reason: str  # the stopping test met; see ``levmar``
+    nfev: int  # residual evaluations
 
 
 class ResidualError(ValueError):
@@ -136,9 +138,19 @@ def levmar(
     """Levenberg-Marquardt least squares with box projection.
 
     Starts with undamped Gauss-Newton steps (so linear problems finish in
-    one accepted step) and raises the damping only when a step fails.
-    Candidate steps are projected onto the box; convergence is declared on
-    the projected gradient, scaled per parameter, or on step size.
+    one accepted step). The damping rises when a step fails or gains less
+    than a quarter of the model's predicted decrease, and falls otherwise.
+    Candidate steps are projected onto the box. The stopping tests follow
+    MINPACK (Moré 1978) and do not depend on the residual's units;
+    ``FitResult.reason`` names the one met:
+
+    - ``"gtol"``: max_j |J_j'r| / (|J_j| |r|) <= gtol over the free columns;
+    - ``"ftol"``: the actual and predicted cost decreases of an accepted
+      step, or the predicted one of an undamped Gauss-Newton step, are at
+      most 1e-10 of the cost;
+    - ``"xtol"``: a step moves no parameter by xtol in units of x_scale;
+    - ``"max_iter"`` (max_iter iterations passed) and ``"damping"`` (the
+      damping overflowed) met no test, and ``converged`` is False.
 
     Parameters
     ----------
@@ -148,16 +160,15 @@ def levmar(
         Start point, must lie inside the bounds.
     bounds : (lo, hi) pair of arrays, optional
     x_scale : array_like, optional
-        Characteristic parameter magnitudes: steps are solved and the
-        gradient and step size tested in these units. Defaults to |init|
-        (1 for zero entries).
+        Characteristic parameter magnitudes: steps are solved and their
+        size tested in these units. Defaults to |init| (1 for zero entries).
 
     Returns
     -------
     FitResult
         With covariance (J^T J)^-1 scaled by the reduced chi-square at the
-        optimum. ``converged`` is False if 200 iterations pass without
-        meeting a tolerance.
+        optimum, ``reason`` as above and ``nfev`` the number of residual
+        evaluations.
     """
     p = np.asarray(init, dtype=float).copy()
     k = p.size
@@ -174,6 +185,7 @@ def levmar(
         scale = np.where(np.abs(p) > 0.0, np.abs(p), 1.0)
     else:
         scale = np.asarray(x_scale, dtype=float)
+    scale2 = np.outer(scale, scale)
 
     def evaluate(q, last_p, last_r):
         r = np.asarray(residual.evaluate(q), dtype=float)
@@ -186,42 +198,42 @@ def levmar(
         return r
 
     r = evaluate(p, None, None)
+    nfev = 1
     m = r.size
     if m < k:
         raise ValueError("residual must have at least as many entries as parameters")
     cost = 0.5 * float(r @ r)
+    # normal matrix and gradient in units of x_scale; raw parameter
+    # magnitudes can differ by many orders and would wreck the conditioning
     J = np.asarray(residual.jacobian(p), dtype=float)
-    g = J.T @ r
+    A_s = (J.T @ J) * scale2
+    g_s = (J.T @ r) * scale
 
     lam = 0.0
     iterations = 0
-    converged = False
+    reason = "max_iter"
     while iterations < max_iter:
-        g_proj = g.copy()
+        # Coordinates pressed against a bound by the gradient are frozen for
+        # this step, otherwise the clipped step keeps fighting the box
+        # instead of optimizing the free directions.
         at_lo = (p - lo) <= 1e-8 * scale
         at_hi = (hi - p) <= 1e-8 * scale
-        g_proj[at_lo & (g_proj > 0.0)] = 0.0
-        g_proj[at_hi & (g_proj < 0.0)] = 0.0
-        if np.max(np.abs(g_proj * scale), initial=0.0) < gtol * max(1.0, cost):
-            converged = True
+        free = ~((at_lo & (g_s > 0.0)) | (at_hi & (g_s < 0.0)))
+        A_f = A_s[np.ix_(free, free)]
+        d = np.diag(A_f)
+        # the cosine of the angle between r and each free column of J
+        if np.all(np.abs(g_s[free]) <= gtol * math.sqrt(2.0 * cost) * np.sqrt(d)):
+            reason = "gtol"
             break
 
         iterations += 1
-        # solve in units of x_scale; raw parameter magnitudes can differ by
-        # many orders and would wreck the conditioning of J'J. Coordinates
-        # pressed against a bound by the gradient are frozen for this step,
-        # otherwise the clipped step keeps fighting the box instead of
-        # optimizing the free directions.
-        free = ~((at_lo & (g > 0.0)) | (at_hi & (g < 0.0)))
-        A_s = (J.T @ J) * np.outer(scale, scale)
-        g_s = g * scale
-        A_f = A_s[np.ix_(free, free)]
-        D = np.clip(np.diag(A_f), 1e-32, None)
+        D = np.maximum(d, 1e-32 * d.max())  # relative, so free of residual units
         try:
             du_f = np.linalg.solve(A_f + lam * np.diag(D), -g_s[free])
         except np.linalg.LinAlgError:
             lam = 1e-3 if lam == 0.0 else 10.0 * lam
             if lam > 1e32:
+                reason = "damping"
                 break
             continue
         du = np.zeros(k)
@@ -231,47 +243,54 @@ def levmar(
         step = p_new - p
         if not np.any(step):
             # damping has already shrunk the step below float resolution;
-            # raising it further cannot reopen a direction, so this is the
-            # step-size criterion met in the hardest possible way
-            converged = True
+            # raising it further cannot reopen a direction
+            reason = "xtol"
             break
+        step_s = step / scale
+        predicted = -(g_s @ step_s + 0.5 * step_s @ (A_s @ step_s))
+        small = 1e-10 * cost  # MINPACK's ftol
         # an undamped full Gauss-Newton step whose own model predicts no
-        # meaningful decrease means we are at the optimum up to rounding
-        # in J'J and the residual; a box-clipped step says nothing of the sort
-        if lam == 0.0 and np.array_equal(step, dp):
-            step_s = step / scale
-            predicted = -(g_s @ step_s + 0.5 * step_s @ (A_s @ step_s))
-            if predicted <= 1e-12 * max(cost, 1e-300):
-                converged = True
-                break
+        # meaningful decrease means we are at the optimum up to rounding;
+        # a box-clipped step says nothing of the sort
+        if lam == 0.0 and predicted <= small and np.array_equal(step, dp):
+            reason = "ftol"
+            break
+        nfev += 1
         r_new = evaluate(p_new, p, r)
         cost_new = 0.5 * float(r_new @ r_new)
-        if cost_new <= cost:
+        actual = cost - cost_new
+        if actual >= 0.0:
             p, r, cost = p_new, r_new, cost_new
             J = np.asarray(residual.jacobian(p), dtype=float)
-            g = J.T @ r
-            if np.max(np.abs(step) / scale) < xtol:
-                converged = True
+            A_s = (J.T @ J) * scale2
+            g_s = (J.T @ r) * scale
+            if actual <= small and predicted <= small:
+                reason = "ftol"
                 break
-            lam = 0.0 if lam < 1e-12 else lam / 3.0
+            # a model that overstated the gain shortens the next step, which
+            # ends the slow creep of large-residual problems
+            if actual < 0.25 * predicted:
+                lam = 1e-3 if lam == 0.0 else 2.0 * lam
+            else:
+                lam = 0.0 if lam < 1e-12 else lam / 3.0
         else:
-            # the damping has shrunk the trial step below xtol and it still
-            # does not decrease the cost: we are at the attainable minimum
-            # (typically the noise floor), which is convergence, not failure
-            if np.max(np.abs(step) / scale) < xtol:
-                converged = True
-                break
-            # no upper cap on lam short of float overflow: every tenfold
-            # raise shrinks the trial step tenfold, so one of the step-size
-            # exits above is reached in a bounded number of rejections
             lam = 1e-3 if lam == 0.0 else 10.0 * lam
-            if lam > 1e32:
-                break
+        # a rejected step below xtol means the damping has reached the
+        # attainable minimum (typically the noise floor): convergence, not
+        # failure. No cap on lam short of overflow: every tenfold raise
+        # shrinks the trial step tenfold, so this exit comes in a bounded
+        # number of rejections.
+        if np.max(np.abs(step_s)) < xtol:
+            reason = "xtol"
+            break
+        if lam > 1e32:
+            reason = "damping"
+            break
 
     dof = max(m - k, 1)
     chi2_red = 2.0 * cost / dof
-    cov_u = np.linalg.pinv((J.T @ J) * np.outer(scale, scale), hermitian=True)
-    cov = cov_u * np.outer(scale, scale) * chi2_red
+    cov_u = np.linalg.pinv(A_s, hermitian=True)
+    cov = cov_u * scale2 * chi2_red
     cov = 0.5 * (cov + cov.T)
     bounds_active = ((p - lo) <= 1e-8 * scale) | ((hi - p) <= 1e-8 * scale)
     return FitResult(
@@ -279,10 +298,12 @@ def levmar(
         covariance=cov,
         residual_norm=math.sqrt(2.0 * cost),
         iterations=iterations,
-        converged=converged,
+        converged=reason not in ("max_iter", "damping"),
         bounds_active=bounds_active,
         jacobian=J,
         residual=r,
+        reason=reason,
+        nfev=nfev,
     )
 
 

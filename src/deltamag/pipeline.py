@@ -273,6 +273,8 @@ def _wl_stage(ds: Dataset, sigma0: list, phys: SamplePhysics) -> Tuple[dict, Lis
                 "delta_m": _measured(res.delta),
                 "converged": bool(res.fit.converged),
                 "iterations": int(res.fit.iterations),
+                "nfev": res.fit.nfev,
+                "reason": res.fit.reason,
                 "residual_norm": res.fit.residual_norm,
             }
         )
@@ -362,6 +364,8 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: Sa
         "intercept_check": result.intercept_check,
         "converged": result.converged,
         "iterations": result.iterations,
+        "nfev": result.nfev,
+        "reasons": result.reasons,
         "temperatures": [
             {"T_bath_K": float(tb), "T_eff_K": float(te), "T_eff_stderr_K": float(se)}
             for tb, te, se in zip(result.t_bath, result.t_eff, result.t_eff_stderr)

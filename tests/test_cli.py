@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from deltamag import SynthConfig, generate_dataset, write_sweep_csv
 from deltamag.cli import main
 
 TEMPS = (0.4, 0.7, 1.2)
@@ -257,3 +259,24 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc_info.value.code == 0
     assert capsys.readouterr().out.startswith("deltamag ")
+
+
+@pytest.mark.filterwarnings("ignore:too few master-curve bins")
+@pytest.mark.parametrize("seed", [501, 502, 503])
+def test_collapse_of_small_noisy_samples_reaches_no_cap(seed, tmp_path, capsys):
+    """No collapse fit runs into levmar's iteration cap on 20 small samples.
+
+    These are the samples of the ``hall_survey`` benchmark plan: 3 T x 2
+    orientations x 41 points at 1% noise, noise seeds drawn from the survey
+    seed. Seed 502 sample 15 (fine fit) and seed 503 sample 0 (coarse fit)
+    used to run 200 iterations and report ``converged: false``.
+    """
+    noise_seeds = np.random.default_rng(seed).integers(0, 2**31, size=20)
+    for j, ns in enumerate(noise_seeds):
+        cfg = dict(config_dict(noise=0.01, seed=int(ns)), sample_id=f"H{j:02d}")
+        csv = tmp_path / f"H{j:02d}_sweeps.csv"
+        write_sweep_csv(csv, generate_dataset(SynthConfig.from_dict(cfg)))
+        code, view = run_json(capsys, ["collapse", str(csv)])
+        col = view["collapse"]
+        assert code == 0 and col["status"] == "ok", (j, col)
+        assert col["converged"] and "max_iter" not in col["reasons"], (j, col["reasons"])

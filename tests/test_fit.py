@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltamag import (
     REFERENCE_LAYERS,
@@ -124,6 +125,56 @@ def test_levmar_iteration_cap():
     res = levmar(ROSENBROCK, np.array([-1.2, 1.0]), max_iter=2)
     assert not res.converged
     assert res.iterations == 2
+    assert res.reason == "max_iter"
+    res = levmar(ROSENBROCK, np.array([-1.2, 1.0]))
+    assert res.converged
+    assert res.reason in ("gtol", "ftol", "xtol")
+
+
+def test_levmar_counts_residual_evaluations():
+    calls = {"evaluate": 0}
+
+    def fun(p):
+        calls["evaluate"] += 1
+        return rosenbrock(p)
+
+    res = levmar(Residual(fun, rosenbrock_jac), np.array([-1.2, 1.0]))
+    assert res.nfev == calls["evaluate"] > res.iterations
+
+
+T_DECAY = np.linspace(0.0, 4.0, 30)
+Y_DECAY = 2.0 * np.exp(-1.3 * T_DECAY) + 0.01 * np.random.default_rng(3).standard_normal(30)
+
+
+def decay_fit(factor):
+    """Fit a*exp(-b*t) from (1, 0.5) with residual and Jacobian times ``factor``."""
+
+    def fun(p):
+        return factor * (p[0] * np.exp(-p[1] * T_DECAY) - Y_DECAY)
+
+    def jac(p):
+        e = np.exp(-p[1] * T_DECAY)
+        return factor * np.column_stack([e, -p[0] * T_DECAY * e])
+
+    return levmar(Residual(fun, jac), np.array([1.0, 0.5]))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(-40, 10))
+def test_levmar_is_unit_free_under_powers_of_two(j):
+    # scaling by 2^j is exact in floating point, so every decision must be too
+    ref, res = decay_fit(1.0), decay_fit(2.0**j)
+    assert ref.converged and ref.iterations > 0
+    assert np.array_equal(res.params, ref.params)
+    assert (res.iterations, res.reason) == (ref.iterations, ref.reason)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(-9, 3))
+def test_levmar_is_unit_free_under_powers_of_ten(k):
+    ref, res = decay_fit(1.0), decay_fit(10.0**k)
+    assert res.converged
+    np.testing.assert_allclose(res.params, ref.params, rtol=1e-8)
 
 
 def test_levmar_analytic_jacobian_used():

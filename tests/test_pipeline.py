@@ -113,6 +113,7 @@ def test_wl_stage_recovers_coherence_lengths(clean_run):
     assert wl["skipped"] == []
     for f in fits:
         assert f["converged"]
+        assert f["reason"] in ("gtol", "ftol", "xtol") and f["nfev"] >= 1
         assert f["n_points"] == 81
         assert f["l_phi_m"]["value"] == pytest.approx(
             cfg.l_phi_at(f["T_bath_K"]), rel=1e-6
@@ -149,6 +150,7 @@ def test_collapse_stage(clean_run):
     assert col["converged"] is True
     # summed over both series fits; neither starts at its own optimum
     assert isinstance(col["iterations"], int) and col["iterations"] >= 2
+    assert col["nfev"] >= 2 and len(col["reasons"]) == 2
     assert col["dispersion"] < 1e-16
     assert col["dispersion_at_bath"] < 1e-16
     assert col["F"]["value"] == pytest.approx(F_TRUE, abs=5e-3)
@@ -313,7 +315,7 @@ def test_unknown_section_is_rejected(clean_run):
         run_analysis(clean_run["ds"], ("hall", "wl_fit"))
 
 
-PLOTS_DEMO1_SHA256 = "885cec77648ce6db612e26e05a39c1c6008e0dace269cf928d7d2a3877ffaa09"
+PLOTS_DEMO1_SHA256 = "6a437236fba08d040be8b3c147bd6fcef7218fd57e8035df73d9770f8b80d7bd"
 
 
 def test_plot_tables_of_a_full_run_are_pinned(view_csvs):
