@@ -12,10 +12,10 @@ from .constants import G0, Quantity, from_si, to_si
 from .special import digamma, trigamma
 from .models import (
     AaParams,
-    H_CROSS_C1,
     InPlaneParams,
     WlParams,
     elastic_field,
+    g2,
     gamma_param,
     phase_breaking_field,
     reduced_field,
@@ -39,7 +39,6 @@ from .hall import (
     sheet_conductivity,
 )
 from .fit import (
-    AaSlopeFit,
     FitResult,
     LinearFit,
     Measured,
@@ -47,7 +46,6 @@ from .fit import (
     Residual,
     ResidualError,
     WlDifferenceFit,
-    fit_aa_slope,
     fit_coherence_power_law,
     fit_wl_difference,
     levmar,
@@ -84,14 +82,12 @@ __all__ = [
     "__version__",
     "AaCurve",
     "AaParams",
-    "AaSlopeFit",
     "AnalysisConfig",
     "CollapseResult",
     "Dataset",
     "FitResult",
     "G0",
     "Geometry",
-    "H_CROSS_C1",
     "InPlaneParams",
     "KAPPA_DEFAULT",
     "LayerRecord",
@@ -119,10 +115,10 @@ __all__ = [
     "effective_temperature",
     "elastic_field",
     "fermi_wavevector",
-    "fit_aa_slope",
     "fit_coherence_power_law",
     "fit_wl_difference",
     "from_si",
+    "g2",
     "gamma_param",
     "generate_dataset",
     "generate_sweep",

@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="BMIN,BMAX",
             help="field window for the WL fit, tesla (default 0,2)",
         )
-        p.add_argument("--h-min", type=float, metavar="F", help="log-branch floor in h (default 3)")
-        p.add_argument("--anchor", type=float, metavar="T", help="anchor bath temperature, K")
         p.add_argument("--kappa", type=float, metavar="F", help="r_s constant, nm^-1 (default 3.37)")
 
     p = sub.add_parser("synth", help="generate synthetic sweep files from a config")
@@ -72,9 +70,8 @@ def _load_config(args) -> AnalysisConfig:
         if len(parts) != 2:
             raise ValueError("--fit-window expects BMIN,BMAX")
         base["fit_window_T"] = [float(parts[0]), float(parts[1])]
-    for key, value in (("h_min", args.h_min), ("anchor_T_K", args.anchor), ("kappa_nm", args.kappa)):
-        if value is not None:
-            base[key] = value
+    if args.kappa is not None:
+        base["kappa_nm"] = args.kappa
     return AnalysisConfig.from_dict(base)
 
 

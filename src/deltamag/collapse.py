@@ -5,32 +5,24 @@ term. Subtracting the fitted WL model per orientation leaves the
 interaction residue; plotted against ln h with h = g mu_B B / (k_B T) the
 residues of all temperatures should fall on one curve. At low bath
 temperature they only do so once the electron temperature is allowed to
-float, which is how T_eff is measured: fit the pooled points with one
-smooth master curve, a Chebyshev series in ln h, jointly over the
-per-temperature ln T_eff, with one anchor temperature pinned to its bath
-value to fix the overall scale (h only constrains ratios of temperatures).
+float, which is how T_eff is measured: one least-squares fit puts the
+pooled points on the Zeeman law -(G0/2pi) F g2(h), jointly over F and
+every ln T_eff. The crossover of g2 from h^2 to ln h near h ~ 1-5 fixes the
+absolute h scale, so no temperature is pinned. ``dispersion`` scores, free
+of any model, how well the curves fall on one monotone curve at all.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .fit import Measured, Residual, fit_aa_slope, levmar
-from .models import reduced_field, wl_inplane, wl_perp_shape, InPlaneParams
+from .fit import Measured, Residual, levmar
+from .models import g2, g2_log_slope, reduced_field, wl_inplane, wl_perp_shape, InPlaneParams
 from .constants import G0
-
-# Chebyshev degrees of the master curve: the smooth coarse series pulls
-# far-off curves into the right basin, the fine series removes its bias.
-_COARSE_DEGREE = 10
-_FINE_DEGREE = 24
-# matrix entries per LAPACK call in _lstsq: OpenBLAS splits its level-2 BLAS
-# calls over worker threads above 8192
-_QR_CELLS = 8000
 
 
 @dataclass
@@ -195,26 +187,6 @@ def _pooled_points(curves, t_eff, g_factor):
     return tuple(np.concatenate(a) for a in (xs, ys, ids, Bs))
 
 
-def _lstsq(V, Y):
-    """Least-squares solution C of V C = Y for a tall V and 2-d Y.
-
-    Row blocks of [V Y] with at most _QR_CELLS entries are replaced by
-    their QR factors R until one block is left for ``np.linalg.lstsq``.
-    BLAS split lstsq on all of V over worker threads, which made the
-    collapse's run time depend on the load on the other cores. Householder
-    QR keeps lstsq's accuracy, which the fit needs: on sparse sweeps the
-    degree-24 design has a condition number near 1e9.
-    """
-    A = np.column_stack([V, Y])
-    rows = max(_QR_CELLS // A.shape[1], 2 * A.shape[1])  # blocks must shrink
-    while A.shape[0] > rows:
-        A = np.concatenate([A, np.zeros((-A.shape[0] % rows, A.shape[1]))])
-        A = np.linalg.qr(A.reshape(-1, rows, A.shape[1]), mode="r")
-        A = A.reshape(-1, A.shape[-1])
-    n = V.shape[1]
-    return np.linalg.lstsq(A[:, :n], A[:, n:], rcond=None)[0]
-
-
 def _bin_index(x, n_bins):
     """Index of the equal-width bin over [min x, max x] holding each x."""
     edges = np.linspace(x.min(), x.max(), n_bins + 1)
@@ -292,7 +264,7 @@ def dispersion(
 
 @dataclass
 class CollapseResult:
-    """Collapse output: effective temperatures, master curve, F.
+    """Collapse output: effective temperatures, F, and the points fitted.
 
     The pooled points are the nonzero-field points the fit used, one array
     entry per point.
@@ -300,8 +272,9 @@ class CollapseResult:
 
     t_bath: np.ndarray
     t_eff: np.ndarray
-    t_eff_stderr: np.ndarray  # 0 for the gauge-fixed anchor
-    anchor: int
+    t_eff_stderr: np.ndarray
+    at_bound: np.ndarray  # T_eff on its 0.75x or 30x bound: the data do not fix it
+    h_max: np.ndarray  # largest reduced field of each curve at its T_eff
     dispersion: float  # at t_eff
     dispersion_at_bath: float
     point_curve: np.ndarray  # index into t_bath and t_eff
@@ -309,119 +282,78 @@ class CollapseResult:
     ln_h_bath: np.ndarray
     ln_h_eff: np.ndarray
     delta_sigma: np.ndarray  # interaction residue, S
-    master_curve: np.ndarray  # rows of (ln h, delta_sigma)
+    master_curve: np.ndarray  # binned pooled points, rows of (ln h, delta_sigma)
     F: Measured
-    intercept_check: float
-    converged: bool  # both series fits
-    iterations: int  # summed over both series fits
-    nfev: int  # residual evaluations, summed over both series fits
-    reasons: tuple  # levmar's stopping tests of the coarse and the fine fit
+    converged: bool
+    iterations: int
+    nfev: int  # residual evaluations
+    reason: str  # levmar's stopping test
 
 
 def collapse_teff(
-    curves: Sequence[AaCurve],
-    anchor: Optional[int] = None,
-    *,
-    g_factor: float = 2.0,
-    h_min: float = 3.0,
-    n_bins: int = 40,
+    curves: Sequence[AaCurve], *, g_factor: float = 2.0, n_bins: int = 40
 ) -> CollapseResult:
-    """Find per-temperature T_eff by fitting all curves to one master curve.
+    """Fit F and every T_eff to the pooled residues by the Zeeman law.
 
-    The anchor curve (highest bath temperature by default) keeps
-    T_eff = T_bath; rescaling every T_eff by a common factor only shifts
-    all curves rigidly in ln h, so without the anchor the solution would be
-    defined up to that factor. ``levmar`` fits the other ln(T_eff/T_bath)
-    in [ln 0.75, ln 30] jointly, putting the pooled residues (in G0/pi) on
-    a Chebyshev series in ln h solved linearly at each evaluation (variable
-    projection): at degree _COARSE_DEGREE from T_bath, then _FINE_DEGREE,
-    whose covariance gives the T_eff standard errors.
-
-    Returns a CollapseResult holding the pooled points and the dispersion
-    at the bath and at the fitted temperatures; F comes from the slope of
-    the binned master curve on h >= h_min (NaN if too few bins reach that
-    regime).
+    ``levmar`` puts the residues (in G0/pi) on -(F/2) g2(h), with
+    h = g mu_B |B| / (k_B T_eff), over every theta = ln(T_eff/T_bath) in
+    [ln 0.75, ln 30] and A = F exp(-2 mean theta). Below the crossover the
+    data fix only F/T_eff^2; A, unlike F, stays put along that valley. The
+    covariance gives the T_eff standard errors and, by the delta method,
+    F's. The result also holds the pooled points, the dispersion at the
+    bath and at the fitted temperatures, and the residues binned in ln h.
     """
     if len(curves) < 3:
         raise ValueError("need at least 3 temperatures to collapse")
     t_bath = np.array([c.T_bath for c in curves], dtype=float)
-    if anchor is None:
-        anchor = int(np.argmax(t_bath))
-    if not 0 <= anchor < len(curves):
-        raise ValueError("anchor index out of range")
-
+    n = len(curves)
+    x_bath, y, ids, B = _pooled_points(curves, t_bath, g_factor)  # x = ln h at T_bath
+    if y.size <= n + 1:
+        raise ValueError(f"{y.size} nonzero-field points cannot fix {n + 1} unknowns")
     # raises early if the curves share no h support
     at_bath = dispersion(curves, t_bath, g_factor=g_factor, n_bins=n_bins)
 
-    x_bath, y, ids, B = _pooled_points(curves, t_bath, g_factor)  # x = ln h at T_bath
     yn = y / (G0 / math.pi)  # G0/pi units; the fit sees them only through rounding
-    n_free = len(curves) - 1
-    unknowns = _FINE_DEGREE + 1 + n_free  # series coefficients and temperatures
-    if yn.size <= unknowns:
-        raise ValueError(f"{yn.size} nonzero-field points cannot fix {unknowns} unknowns")
+    in_curve = ids[:, None] == np.arange(n)
 
-    cheb = np.polynomial.chebyshev  # imported on first use, not with deltamag
-    free = np.delete(np.arange(len(curves)), anchor)
+    def evaluate(p):
+        g = g2(np.exp(x_bath - p[:n][ids]))
+        return -0.5 * p[n] * math.exp(2.0 * p[:n].mean()) * g - yn
 
-    def series(ln_ratio, degree):
-        x = x_bath - np.insert(ln_ratio, anchor, 0.0)[ids]
-        t = (2.0 * x - x.max() - x.min()) / np.ptp(x)
-        V = cheb.chebvander(t, degree)
-        return x, t, V, _lstsq(V, yn[:, None])[:, 0]
+    def jacobian(p):
+        h = np.exp(x_bath - p[:n][ids])
+        g = g2(h)
+        w = math.exp(2.0 * p[:n].mean())
+        d_theta = 0.5 * p[n] * w * (in_curve * g2_log_slope(h)[:, None] - (2.0 / n) * g[:, None])
+        return np.column_stack([d_theta, -0.5 * w * g])
 
-    def misfit(degree):
-        def evaluate(ln_ratio):
-            _, _, V, coef = series(ln_ratio, degree)
-            # einsum, not @: BLAS would thread products over the tall V too
-            return np.einsum("ij,j->i", V, coef) - yn
+    g_bath = g2(np.exp(x_bath))
+    a0 = -2.0 * float(g_bath @ yn) / float(g_bath @ g_bath)
+    lo, hi = np.full(n, math.log(0.75)), np.full(n, math.log(30.0))
+    bounds = (np.append(lo, -np.inf), np.append(hi, np.inf))
+    scale = np.append(np.ones(n), abs(a0) if a0 != 0.0 else 1.0)
+    fit = levmar(Residual(evaluate, jacobian), np.append(np.zeros(n), a0), bounds, x_scale=scale)
 
-        def jacobian(ln_ratio):
-            # Kaufman's variable-projection Jacobian: each curve slides along
-            # the series' slope, less what refitting the coefficients absorbs.
-            # J'r is the exact gradient.
-            x, t, V, coef = series(ln_ratio, degree)
-            slope = cheb.chebval(t, cheb.chebder(coef)) * 2.0 / np.ptp(x)
-            D = -slope[:, None] * (ids[:, None] == free)
-            shift = np.ascontiguousarray(_lstsq(V, D).T)  # rows keep einsum fast
-            return D - np.einsum("ij,kj->ik", V, shift)
-
-        return Residual(evaluate, jacobian)
-
-    bounds = (np.full(n_free, math.log(0.75)), np.full(n_free, math.log(30.0)))
-    scale = np.ones(n_free)
-    coarse = levmar(misfit(_COARSE_DEGREE), np.zeros(n_free), bounds, x_scale=scale)
-    fine = levmar(misfit(_FINE_DEGREE), coarse.params, bounds, x_scale=scale)
-
-    t_eff = t_bath * np.exp(np.insert(fine.params, anchor, 0.0))
-    var = np.insert(np.diag(fine.covariance), anchor, 0.0)
+    theta, w = fit.params[:n], math.exp(2.0 * fit.params[:n].mean())
+    F = fit.params[n] * w
+    grad = np.append(np.full(n, 2.0 * F / n), w)  # dF / d(theta, A)
+    t_eff = t_bath * np.exp(theta)
     best = dispersion(curves, t_eff, g_factor=g_factor, n_bins=n_bins)
 
     x = _pooled_points(curves, t_eff, g_factor)[0]
-    bin_idx = _bin_index(x, n_bins)
-    counts = np.bincount(bin_idx, minlength=n_bins)
-    # bin means in both coordinates; using the mean x rather than the bin
-    # center keeps the slope of linear data exact
-    x_sums = np.bincount(bin_idx, weights=x, minlength=n_bins)
-    y_sums = np.bincount(bin_idx, weights=y, minlength=n_bins)
-    filled = counts > 0
-    master = np.column_stack(
-        [x_sums[filled] / counts[filled], y_sums[filled] / counts[filled]]
-    )
-
-    try:
-        slope_fit = fit_aa_slope(np.exp(master[:, 0]), master[:, 1], h_min)
-        F = slope_fit.F
-        ref = slope_fit.intercept_check
-    except ValueError:
-        warnings.warn("too few master-curve bins above h_min; F not extracted")
-        F = Measured(math.nan, math.nan)
-        ref = math.nan
+    h_max = np.zeros(n)
+    np.maximum.at(h_max, ids, np.exp(x))
+    bins = _bin_index(x, n_bins)
+    filled, counts = np.unique(bins, return_counts=True)
+    # bin means in both coordinates, not bin centers
+    master = np.column_stack([np.bincount(bins, weights=v)[filled] / counts for v in (x, y)])
 
     return CollapseResult(
         t_bath=t_bath,
         t_eff=t_eff,
-        t_eff_stderr=t_eff * np.sqrt(np.maximum(var, 0.0)),
-        anchor=anchor,
+        t_eff_stderr=t_eff * np.sqrt(np.maximum(np.diag(fit.covariance)[:n], 0.0)),
+        at_bound=fit.bounds_active[:n],
+        h_max=h_max,
         dispersion=best,
         dispersion_at_bath=at_bath,
         point_curve=ids,
@@ -430,10 +362,9 @@ def collapse_teff(
         ln_h_eff=x,
         delta_sigma=y,
         master_curve=master,
-        F=F,
-        intercept_check=ref,
-        converged=coarse.converged and fine.converged,
-        iterations=coarse.iterations + fine.iterations,
-        nfev=coarse.nfev + fine.nfev,
-        reasons=(coarse.reason, fine.reason),
+        F=Measured(float(F), math.sqrt(max(float(grad @ fit.covariance @ grad), 0.0))),
+        converged=fit.converged,
+        iterations=fit.iterations,
+        nfev=fit.nfev,
+        reason=fit.reason,
     )

@@ -2,9 +2,10 @@
 
 The generic pieces are ``linear_fit`` (ordinary least squares with
 intercept) and ``levmar`` (Levenberg-Marquardt with box projection). On top
-of them sit the three model inversions: the two-parameter weak-localization
-difference fit, the coherence-length power law, and the interaction-slope
-fit that yields the Coulomb parameter F.
+of them sit two model inversions: the two-parameter weak-localization
+difference fit and the coherence-length power law. The interaction
+parameter F and the electron temperatures come from one ``levmar`` fit in
+``collapse.collapse_teff``.
 """
 
 from __future__ import annotations
@@ -476,44 +477,4 @@ def fit_coherence_power_law(T, l_phi) -> PowerLawFit:
         exponent=Measured(res.slope, math.sqrt(max(res.cov[0, 0], 0.0))),
         amplitude=Measured(amp, amp * math.sqrt(max(res.cov[1, 1], 0.0))),
         cov=res.cov,
-    )
-
-
-@dataclass
-class AaSlopeFit:
-    """Interaction slope fit on the asymptotic log branch."""
-
-    F: Measured
-    intercept_check: float  # implied reference constant, expected 1.3
-    cov: np.ndarray  # (slope, intercept) of d_sigma vs ln h
-    n_points: int
-
-
-def fit_aa_slope(h, d_sigma, h_min: float = 3.0) -> AaSlopeFit:
-    """Extract the Coulomb parameter F from Delta sigma vs ln h.
-
-    Only points with h >= h_min enter (the log form holds for h >> 1);
-    F = -slope * 2 pi / G0. The fitted intercept implies a reference
-    constant exp(-intercept/slope), reported as a consistency check
-    against the expected 1.3.
-    """
-    h = np.asarray(h, dtype=float)
-    y = np.asarray(d_sigma, dtype=float)
-    if h.shape != y.shape or h.ndim != 1:
-        raise ValueError("h and d_sigma must be 1-d arrays of equal length")
-    keep = h >= h_min
-    if int(keep.sum()) < 3:
-        raise ValueError(f"need at least 3 points with h >= {h_min:g}")
-    res = linear_fit(np.log(h[keep]), y[keep])
-    f_val = -res.slope * 2.0 * math.pi / G0
-    f_se = 2.0 * math.pi / G0 * math.sqrt(max(res.cov[0, 0], 0.0))
-    if res.slope != 0.0:
-        ref = math.exp(-res.intercept / res.slope)
-    else:
-        ref = math.nan
-    return AaSlopeFit(
-        F=Measured(f_val, f_se),
-        intercept_check=ref,
-        cov=res.cov,
-        n_points=int(keep.sum()),
     )

@@ -8,8 +8,9 @@ square relative to the zero-field value:
 * ``wl_inplane``: the residual orbital effect of an in-plane field on a
   layer of finite thickness, log-quadratic with the single parameter gamma,
 * ``zeeman_aa``: the interaction (Altshuler-Aronov) correction driven by
-  Zeeman splitting, a function of the reduced field h = g mu_B B / (k_B T)
-  only, and therefore isotropic in the field direction.
+  Zeeman splitting, proportional to the crossover function ``g2`` of the
+  reduced field h = g mu_B B / (k_B T) only, and therefore isotropic in the
+  field direction.
 
 The total correction is the parallel-channel sum WL + Zeeman; taking the
 difference of perpendicular and in-plane sweeps cancels the isotropic
@@ -25,12 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, G0, HBAR, K_B, MU_B
-from .special import digamma
+from .special import digamma, tetragamma, trigamma
 
-# Crossover of the small-h quadratic onto the log branch of the Zeeman
-# correction. At h = 1.3*sqrt(e) the quadratic a*h^2 that matches the value
-# of ln(h/1.3) also matches its slope, so the default interpolation is C1.
-H_CROSS_C1 = 1.3 * math.sqrt(math.e)
+EULER_GAMMA = 0.5772156649015329
+# zeta(3), zeta(5), ..., zeta(31)
+_ZETA_ODD = (
+    1.2020569031595942, 1.03692775514337, 1.008349277381923, 1.0020083928260821,
+    1.0004941886041194, 1.0001227133475785, 1.000030588236307, 1.0000076371976379,
+    1.0000019082127165, 1.0000004769329869, 1.000000119219926, 1.0000000298035034,
+    1.0000000074507118, 1.0000000018626598, 1.0000000004656628,
+)
+# c^2 sum_n (-c^2)^n a_n with c = h/2pi: the Taylor series of g2 and of h dg2/dh
+_G2_SERIES = tuple((2 * n + 3) * z for n, z in enumerate(_ZETA_ODD))
+_G2_SLOPE_SERIES = tuple((2 * n + 2) * (2 * n + 3) * z for n, z in enumerate(_ZETA_ODD))
 
 
 @dataclass(frozen=True)
@@ -193,18 +201,56 @@ def reduced_field(B, T: float, g_factor: float = 2.0):
     return float(out) if arr.ndim == 0 else out
 
 
-def zeeman_aa(B, T: float, p: AaParams, *, h_cross: float = H_CROSS_C1):
+def _crossover(h, series, closed):
+    """A function of c = h/2pi: ``series`` below c = 1/4, ``closed(c, 1 + ic)`` above."""
+    arr = np.asarray(h, dtype=float)
+    c = np.atleast_1d(arr) / (2.0 * math.pi)
+    out = np.empty_like(c)
+    small = c < 0.25  # there 15 terms are exact to rounding; the closed form cancels gamma_E
+    c2 = c[small] ** 2
+    acc = 0.0
+    for a in reversed(series):
+        acc = acc * -c2 + a
+    out[small] = c2 * acc
+    big = ~small
+    if big.any():
+        out[big] = closed(c[big], 1.0 + 1j * c[big])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def g2(h):
+    """Zeeman crossover function of the interaction correction.
+
+    g2(h) = int_0^inf dW [d^2/dW^2 W/(e^W - 1)] ln|1 - h^2/W^2|
+    (Lee & Ramakrishnan, Rev. Mod. Phys. 57, 287 (1985), eq. 4.23), summed
+    in closed form over the Matsubara poles of W/(e^W - 1): with c = h/2pi
+    and z = 1 + ic,
+
+        g2 = gamma_E + Re psi(z) - c Im psi1(z).
+
+    It rises as 3 zeta(3) h^2 / 4 pi^2 = 0.0913 h^2 for h << 1 and tends to
+    ln(h/2pi) + gamma_E + 1 = ln(h/1.298) for h >> 1; g2(1) = 0.0881,
+    g2(3) = 0.617. Takes h >= 0; scalar in, scalar out.
+    """
+    return _crossover(
+        h, _G2_SERIES, lambda c, z: EULER_GAMMA + digamma(z).real - c * trigamma(z).imag
+    )
+
+
+def g2_log_slope(h):
+    """h dg2/dh = c (-2 Im psi1(z) - c Re psi2(z)), with c and z as in ``g2``."""
+    return _crossover(
+        h, _G2_SLOPE_SERIES, lambda c, z: c * (-2.0 * trigamma(z).imag - c * tetragamma(z).real)
+    )
+
+
+def zeeman_aa(B, T: float, p: AaParams):
     """Zeeman-driven interaction correction, isotropic in field direction.
 
-    For h = g mu_B |B| / (k_B T) >= h_cross this is the asymptotic form
+        Delta sigma(B, T) = -(G0 / 2 pi) F g2(h),  h = g mu_B |B| / (k_B T).
 
-        Delta sigma(h) = -(G0 / 2 pi) F ln(h / 1.3),
-
-    valid for h >> 1. Below h_cross a quadratic a h^2 matched to the log
-    branch at h_cross carries the curve smoothly to 0 at B = 0 (the
-    asymptotic form would diverge there). At the default h_cross =
-    1.3 sqrt(e) the match is C1; other crossover choices are continuous in
-    value only.
+    This F is Lee and Ramakrishnan's F~sigma: their -(e^2/hbar)(F~sigma/4pi^2) g2
+    equals -(G0/2pi) F~sigma g2, since G0 = e^2/h = e^2/(2 pi hbar).
 
     Parameters
     ----------
@@ -213,22 +259,9 @@ def zeeman_aa(B, T: float, p: AaParams, *, h_cross: float = H_CROSS_C1):
     T : float
         Electron temperature, K.
     p : AaParams
-    h_cross : float, keyword only
-        Crossover reduced field, must be > 1.3.
     """
-    if not h_cross > 1.3:
-        raise ValueError("h_cross must exceed the reference constant 1.3")
-    arr = np.asarray(B, dtype=float)
-    h = reduced_field(np.abs(arr), T, p.g_factor)
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    a = math.log(h_cross / 1.3) / h_cross**2
-    out = np.where(
-        h >= h_cross,
-        np.log(np.maximum(h, h_cross) / 1.3),
-        a * h * h,
-    )
-    out *= -G0 / (2.0 * math.pi) * p.F
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    h = reduced_field(np.abs(np.asarray(B, dtype=float)), T, p.g_factor)
+    return -G0 / (2.0 * math.pi) * p.F * g2(h)
 
 
 def total_delta_sigma(

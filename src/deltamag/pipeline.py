@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,10 +45,8 @@ class AnalysisConfig:
 
     g_factor: float = 2.0
     T_c: float = 0.3                 # K, power-law validity floor
-    h_min: float = 3.0               # reduced-field floor of the log branch
     fit_window: Tuple[float, float] = (0.0, 2.0)  # T, on |B|
     kappa: float = KAPPA_DEFAULT     # m^-1
-    anchor_T: Optional[float] = None  # K; None picks the highest T_bath
     geometry: Geometry = field(default_factory=lambda: Geometry(200e-6, 20e-6))
     extrapolate_l_phi: bool = False
 
@@ -59,7 +57,7 @@ class AnalysisConfig:
         if unknown:
             raise ValueError(f"unknown analysis config key {unknown[0]!r}")
         kwargs = {}
-        for key, name in (("g", "g_factor"), ("T_c_K", "T_c"), ("h_min", "h_min")):
+        for key, name in (("g", "g_factor"), ("T_c_K", "T_c")):
             if key in d:
                 kwargs[name] = _number(key, d[key])
         if "fit_window_T" in d:
@@ -67,8 +65,6 @@ class AnalysisConfig:
         if "kappa_nm" in d:
             kappa = Quantity(_number("kappa_nm", d["kappa_nm"]), "nm^-1")
             kwargs["kappa"] = to_si(kappa).value
-        if d.get("anchor_T_K") is not None:
-            kwargs["anchor_T"] = _number("anchor_T_K", d["anchor_T_K"])
         if "geometry_um" in d:
             L, W = (to_si(Quantity(x, "um")).value for x in _pair("geometry_um", d["geometry_um"]))
             kwargs["geometry"] = Geometry(L, W)
@@ -82,10 +78,8 @@ class AnalysisConfig:
         return {
             "g": self.g_factor,
             "T_c_K": self.T_c,
-            "h_min": self.h_min,
             "fit_window_T": list(self.fit_window),
             "kappa_nm": from_si(Quantity(self.kappa, "m^-1"), "nm^-1").value,
-            "anchor_T_K": self.anchor_T,
             "geometry_um": [
                 from_si(Quantity(x, "m"), "um").value
                 for x in (self.geometry.L, self.geometry.W)
@@ -344,31 +338,23 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: Sa
     if len(aa) < 3:
         raise MissingDataError("need interaction residues at 3 or more temperatures")
 
-    anchor = None
-    if ds.config.anchor_T is not None:
-        anchor = int(
-            np.argmin([abs(c.T_bath - ds.config.anchor_T) for c in aa])
-        )
-    result = collapse_teff(
-        aa,
-        anchor,
-        g_factor=ds.config.g_factor,
-        h_min=ds.config.h_min,
-    )
+    result = collapse_teff(aa, g_factor=ds.config.g_factor)
     section = {
-        "anchor_T_bath_K": float(result.t_bath[result.anchor]),
+        # no temperature is pinned; the hottest one's T_eff checks the fit
+        "anchor_T_bath_K": float(result.t_bath.max()),
         "dispersion": result.dispersion,
         "dispersion_at_bath": result.dispersion_at_bath,
-        "h_min": ds.config.h_min,
         "F": _measured(result.F),
-        "intercept_check": result.intercept_check,
         "converged": result.converged,
         "iterations": result.iterations,
         "nfev": result.nfev,
-        "reasons": result.reasons,
+        "reason": result.reason,
         "temperatures": [
-            {"T_bath_K": float(tb), "T_eff_K": float(te), "T_eff_stderr_K": float(se)}
-            for tb, te, se in zip(result.t_bath, result.t_eff, result.t_eff_stderr)
+            {"T_bath_K": float(tb), "T_eff_K": float(te), "T_eff_stderr_K": float(se),
+             "at_bound": bool(bound), "h_max": float(hm)}
+            for tb, te, se, bound, hm in zip(
+                result.t_bath, result.t_eff, result.t_eff_stderr, result.at_bound, result.h_max
+            )
         ],
     }
     return section, result

@@ -1,17 +1,21 @@
-"""Digamma and trigamma functions.
+"""Digamma, trigamma and tetragamma functions.
 
 The weak-localization lineshape needs psi(1/2 + x) for x from ~1e-9 up to
 ~1e8, and its Jacobian the trigamma psi1 at the same points, so both must
-be accurate over a wide range and cheap to evaluate on arrays. Every
-argument is lifted by ten steps of the recurrences
+be accurate over a wide range and cheap to evaluate on arrays. The Zeeman
+crossover function evaluates psi, psi1 and psi2 at complex z = 1 + ic.
+Every argument (real x > 0, or a complex array with Re z > 0) is lifted
+by ten steps of the recurrences
 
     psi(x) = psi(x + 10) - sum_{k<10} 1/(x + k)
-    psi1(x) = psi1(x + 10) + sum_{k<10} 1/(x + k)^2,
+    psi1(x) = psi1(x + 10) + sum_{k<10} 1/(x + k)^2
+    psi2(x) = psi2(x + 10) - sum_{k<10} 2/(x + k)^3,
 
-which put any x > 0 above 10, where the asymptotic series
+which put any Re x above 10, where the asymptotic series
 
     psi(x) ~ ln x - 1/(2x) - sum_n B_2n / (2n x^2n)
     psi1(x) ~ 1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1)
+    psi2(x) ~ -1/x^2 - 1/x^3 - sum_n B_2n (2n+1) / x^(2n+2)
 
 are summed. Six Bernoulli terms keep the truncation error below 1e-14 there
 (the first neglected terms are B_14/(14 x^14) ~ 9e-15 and B_14/x^15 ~ 1.2e-15
@@ -37,20 +41,23 @@ _TAIL_COEFFS = (
 
 def _lift(x, name):
     """x as an array, x + k for k < 10 (one row per point), and x + 10."""
-    arr = np.asarray(x, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise ValueError(f"{name} requires finite x > 0")
+    if isinstance(x, np.ndarray) and x.dtype.kind == "c":
+        arr, re = x, x.real
+    else:
+        arr = re = np.asarray(x, dtype=float)
+    if arr.size and (not np.all(np.isfinite(arr)) or np.any(re <= 0.0)):
+        raise ValueError(f"{name} requires finite x > 0, or Re x > 0 if complex")
     steps = np.atleast_1d(arr).reshape(-1, 1) + _LIFT
     return arr, steps, steps[:, -1] + 1.0
 
 
 def digamma(x):
-    """Digamma (psi) function for positive real arguments.
+    """Digamma (psi) function for positive real or right-half-plane arguments.
 
     Parameters
     ----------
-    x : float or array_like
-        Argument(s), must be finite and > 0.
+    x : float, array_like or complex ndarray
+        Argument(s), must be finite and > 0, or have Re x > 0 if complex.
 
     Returns
     -------
@@ -63,7 +70,7 @@ def digamma(x):
     for c in reversed(_TAIL_COEFFS):
         tail = (tail + c) * z
     result = np.log(w) - 0.5 / w - tail - (1.0 / steps).sum(axis=1)
-    return float(result[0]) if arr.ndim == 0 else result.reshape(arr.shape)
+    return result[0].item() if arr.ndim == 0 else result.reshape(arr.shape)
 
 
 def trigamma(x):
@@ -74,4 +81,15 @@ def trigamma(x):
     for n in range(len(_TAIL_COEFFS), 0, -1):  # B_2n = 2n * _TAIL_COEFFS[n - 1]
         tail = (tail + 2 * n * _TAIL_COEFFS[n - 1]) * z
     result = (1.0 + 0.5 / w + tail) / w + (1.0 / (steps * steps)).sum(axis=1)
-    return float(result[0]) if arr.ndim == 0 else result.reshape(arr.shape)
+    return result[0].item() if arr.ndim == 0 else result.reshape(arr.shape)
+
+
+def tetragamma(x):
+    """Tetragamma psi2 = d psi1/dx; arguments, shapes and errors as for ``digamma``."""
+    arr, steps, w = _lift(x, "tetragamma")
+    z = 1.0 / (w * w)
+    tail = 0.0
+    for n in range(len(_TAIL_COEFFS), 0, -1):  # B_2n (2n + 1)
+        tail = (tail + (2 * n + 1) * 2 * n * _TAIL_COEFFS[n - 1]) * z
+    result = -(1.0 + 1.0 / w + tail) * z - 2.0 * (1.0 / (steps * steps * steps)).sum(axis=1)
+    return result[0].item() if arr.ndim == 0 else result.reshape(arr.shape)

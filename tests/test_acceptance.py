@@ -22,7 +22,6 @@ from deltamag import (
     WlParams,
     collapse_teff,
     digamma,
-    fit_aa_slope,
     fit_coherence_power_law,
     fit_wl_difference,
     gamma_param,
@@ -236,20 +235,22 @@ def test_08_aa_scale_invariance_and_slope(criterion):
         b = zeeman_aa(ci * Bi, ci * Ti, aa)
         invariance = max(invariance, abs(a - b) / max(abs(a), abs(b)))
 
-    h = np.geomspace(3.0, 100.0, 30)
-    y = -(G0 / (2.0 * math.pi)) * 0.5 * np.log(h / 1.3)
-    clean_err = abs(fit_aa_slope(h, y).F.value - 0.5) / 0.5
-
-    h40 = np.geomspace(3.0, 100.0, 40)
-    y40 = -(G0 / (2.0 * math.pi)) * 0.5 * np.log(h40 / 1.3)
+    # F from the collapse fit of g2 curves at four temperatures
+    B40 = np.linspace(0.02, 2.0, 40)
+    temps = (0.1, 0.2, 0.4, 0.8)
+    clean = [AaCurve(T, B40, zeeman_aa(B40, T, aa)) for T in temps]
+    clean_err = abs(collapse_teff(clean).F.value - 0.5) / 0.5
     rng = np.random.default_rng(1)
-    yn = y40 * (1.0 + 0.02 * rng.standard_normal(h40.size))
-    noisy_err = abs(fit_aa_slope(h40, yn).F.value - 0.5) / 0.5
+    noisy = [
+        AaCurve(T, B40, c.delta_sigma * (1.0 + 0.02 * rng.standard_normal(B40.size)))
+        for T, c in zip(temps, clean)
+    ]
+    noisy_err = abs(collapse_teff(noisy).F.value - 0.5) / 0.5
 
     ok = invariance <= 1e-12 and clean_err <= 1e-10 and noisy_err <= 0.01
     criterion(
         8,
-        "AA curve depends on B/T only; F = 0.5 slope recovery",
+        "AA curve depends on B/T only; F = 0.5 recovery by the collapse fit",
         ok,
         f"invariance {invariance:.1e}, F err clean {clean_err:.1e} "
         f"noisy {noisy_err:.1e}",
@@ -269,19 +270,17 @@ def test_09_effective_temperature_collapse(criterion):
         noisy.append(y + 0.002 * np.abs(y).max() * rng.standard_normal(B.size))
     curves = [AaCurve(T, B, y) for T, y in zip(temps, noisy)]
 
-    r1 = collapse_teff(curves)
-    r2 = collapse_teff(curves, anchor=4)
-    e_teff = float(np.max(np.abs(r1.t_eff / true - 1.0)))
-    e_f = abs(r1.F.value - 0.5) / 0.5
-    q1 = r1.t_eff / r1.t_eff[5]
-    q2 = r2.t_eff / r2.t_eff[5]
-    e_anchor = float(np.max(np.abs(q2 / q1 - 1.0)))
-    ok = e_teff <= 0.05 and e_f <= 0.02 and e_anchor <= 0.02
+    res = collapse_teff(curves)
+    e_teff = float(np.max(np.abs(res.t_eff / true - 1.0)))
+    e_f = abs(res.F.value - 0.5) / 0.5
+    q = (res.t_eff / res.t_eff[5]) / (true / true[5])
+    e_ratio = float(np.max(np.abs(q - 1.0)))
+    ok = e_teff <= 0.05 and e_f <= 0.02 and e_ratio <= 0.02
     criterion(
         9,
-        "6-temperature collapse: T_eff 5%, F 2%, anchor ratios 2%",
+        "6-temperature collapse: T_eff 5%, F 2%, ratios to the hottest 2%",
         ok,
-        f"T_eff {e_teff:.1%}, F {e_f:.2%}, anchors {e_anchor:.2%}",
+        f"T_eff {e_teff:.1%}, F {e_f:.2%}, ratios {e_ratio:.2%}",
     )
 
 

@@ -213,22 +213,6 @@ def test_dispersion_t_eff_length_guard():
         dispersion(curves, np.array([0.2]))
 
 
-@pytest.mark.parametrize("m", [60, 300, 4800])  # 0, 1 and 2 levels of row blocks
-def test_blocked_lstsq_matches_numpy(m):
-    from deltamag.collapse import _lstsq
-
-    # three shifted linear field sweeps in ln h: sparse at low h, so the
-    # degree-24 Chebyshev design is ill-conditioned when m is small
-    x = np.concatenate([np.log(np.linspace(0.05, 2.0, m // 3)) - s for s in (0.0, 0.6, 1.4)])
-    V = np.polynomial.chebyshev.chebvander((2.0 * x - x.max() - x.min()) / np.ptp(x), 24)
-    Y = np.random.default_rng(m).standard_normal((m, 3))
-    misfit = np.linalg.norm(V @ _lstsq(V, Y) - Y, axis=0)
-    best = np.linalg.norm(V @ np.linalg.lstsq(V, Y, rcond=None)[0] - Y, axis=0)
-    # at m = 60 (condition number 2e9) two backward-stable solvers agree
-    # on the minimal misfit to about 2e-10
-    np.testing.assert_allclose(misfit, best, rtol=1e-9)
-
-
 # -------------------------------------------------------------- collapse_teff
 
 def test_collapse_noiseless_recovers_saturation():
@@ -238,16 +222,14 @@ def test_collapse_noiseless_recovers_saturation():
     curves = aa_curves(temps, B, t_sat=t_sat)
     res = collapse_teff(curves)
     true = np.hypot(temps, t_sat)
-    # anchor gauge: the hottest curve keeps its bath temperature
-    assert res.anchor == 5
-    assert res.t_eff[5] == temps[5]
+    # no gauge: the g2 crossover fixes every absolute T_eff, and F with them
     ratios = res.t_eff / res.t_eff[5]
     np.testing.assert_allclose(ratios, true / true[5], rtol=0.01)
+    np.testing.assert_allclose(res.t_eff, true, rtol=1e-9)
     assert res.dispersion < 1e-18
-    assert abs(res.F.value - 0.5) / 0.5 < 5e-3
-    # absolute T_eff carries the anchor gauge: the anchor is pinned to its
-    # bath value, and that common factor surfaces in the reference constant
-    assert res.intercept_check == pytest.approx(1.3 * true[5] / temps[5], rel=0.01)
+    assert abs(res.F.value - 0.5) / 0.5 < 1e-9
+    assert res.converged and not res.at_bound.any()
+    np.testing.assert_allclose(res.h_max, [reduced_field(2.0, t) for t in true], rtol=1e-9)
     # the result carries the dispersion at the bath temperatures and the
     # pooled points it fitted: every nonzero-field point of every curve
     assert res.dispersion_at_bath == dispersion(curves)
@@ -260,17 +242,6 @@ def test_collapse_noiseless_recovers_saturation():
             np.testing.assert_array_equal(ln_h[mine], np.log(reduced_field(np.abs(c.B[nz]), t)))
 
 
-def test_collapse_alternate_anchor():
-    temps = [0.1, 0.3, 1.0]
-    B = np.linspace(0.05, 2.0, 60)
-    curves = aa_curves(temps, B, t_sat=0.3)
-    res = collapse_teff(curves, anchor=0)
-    assert res.anchor == 0
-    assert res.t_eff[0] == temps[0]
-    with pytest.raises(ValueError, match="anchor index"):
-        collapse_teff(curves, anchor=7)
-
-
 # (temps, t_sat, noise, points per curve)
 THREE_TEMPS = ([0.1, 0.3, 1.0], 0.3, 0.005, 60)
 
@@ -281,6 +252,8 @@ THREE_TEMPS = ([0.1, 0.3, 1.0], 0.3, 0.005, 60)
         pytest.param(*THREE_TEMPS, id="three-temps"),
         # three cold curves nearly coincide and must all rise 6-20x together
         pytest.param([0.03, 0.05, 0.1, 0.3, 1.0], 0.6, 0.002, 120, id="cold-coinciding"),
+        # three cold curves rise 5-25x toward a warm one, and none bridges the gap
+        pytest.param([0.02, 0.05, 0.1, 1.0], 0.5, 0.002, 120, id="cold-no-bridge"),
     ],
 )
 def test_collapse_noisy_ratios(temps, t_sat, noise, n_points):
@@ -297,25 +270,25 @@ def test_collapse_noisy_ratios(temps, t_sat, noise, n_points):
 
 
 def test_collapse_teff_stderr_is_calibrated():
-    # the ln-ratio errors over many noise draws scatter by about the
-    # reported standard errors; the anchor is gauge-fixed and has none
+    # the ln T_eff errors of every curve and the F errors over many noise
+    # draws scatter by about the reported standard errors
     temps, t_sat, noise, n_points = THREE_TEMPS
     B = np.linspace(0.05, 2.0, n_points)
     true = np.log(np.hypot(temps, t_sat))
-    z = []
+    z, z_f = [], []
     for seed in range(40):
         res = collapse_teff(aa_curves(temps, B, t_sat=t_sat, noise=noise, seed=seed))
-        assert res.t_eff_stderr[-1] == 0.0
-        err = np.log(res.t_eff[:-1] / res.t_eff[-1]) - (true[:-1] - true[-1])
-        z.extend(err / (res.t_eff_stderr[:-1] / res.t_eff[:-1]))
+        z.extend((np.log(res.t_eff) - true) / (res.t_eff_stderr / res.t_eff))
+        z_f.append((res.F.value - 0.5) / res.F.stderr)
     assert 0.5 <= math.sqrt(np.mean(np.square(z))) <= 2.0
+    assert 0.5 <= math.sqrt(np.mean(np.square(z_f))) <= 2.0
 
 
 def test_collapse_needs_more_points_than_unknowns():
-    # 3 x 9 points cannot fix the master-curve series plus 2 temperatures
-    B = np.linspace(0.05, 2.0, 9)
-    with pytest.raises(ValueError, match="cannot fix 27 unknowns"):
-        collapse_teff(aa_curves([0.2, 0.4, 0.8], B), n_bins=10)
+    # 3 x 1 points cannot fix F plus 3 temperatures
+    B = np.array([1.0])
+    with pytest.raises(ValueError, match="3 nonzero-field points cannot fix 4 unknowns"):
+        collapse_teff(aa_curves([0.2, 0.4, 0.8], B))
 
 
 def test_collapse_identity_at_one_percent_noise():
@@ -334,10 +307,12 @@ def test_collapse_needs_three_curves():
         collapse_teff(aa_curves([0.2, 0.4], B))
 
 
-def test_collapse_warns_without_log_branch():
-    # warm curves only: reduced fields never reach the asymptotic regime
+def test_collapse_without_log_branch_still_fits_f():
+    # warm curves only: reduced fields never reach the log branch, yet the
+    # h^2 rise of g2 gives F
     temps = [2.0, 3.0, 4.0]
     B = np.linspace(0.05, 2.0, 40)
-    with pytest.warns(UserWarning, match="F not extracted"):
-        res = collapse_teff(aa_curves(temps, B))
-    assert math.isnan(res.F.value)
+    res = collapse_teff(aa_curves(temps, B, noise=0.002, seed=1))
+    assert np.all(res.h_max < 2.0)
+    assert math.isfinite(res.F.value) and 0.0 < res.F.stderr < 0.05
+    assert abs(res.F.value - 0.5) < 3.0 * res.F.stderr

@@ -10,7 +10,6 @@ from deltamag import (
     Residual,
     ResidualError,
     WlParams,
-    fit_aa_slope,
     fit_coherence_power_law,
     fit_wl_difference,
     gamma_param,
@@ -19,7 +18,6 @@ from deltamag import (
     wl_inplane,
     wl_perp,
 )
-from deltamag.constants import G0
 
 
 # ---------------------------------------------------------------- linear_fit
@@ -405,30 +403,3 @@ def test_power_law_validation():
         fit_coherence_power_law(np.array([0.3, -0.5, 1.0]), np.full(3, 1e-9))
     with pytest.raises(ValueError, match="positive"):
         fit_coherence_power_law(np.array([0.3, 0.5, 1.0]), np.array([1e-9, 0.0, 1e-9]))
-
-
-def test_aa_slope_exact():
-    h = np.geomspace(3.0, 100.0, 30)
-    y = -(G0 / (2 * math.pi)) * 0.5 * np.log(h / 1.3)
-    fit = fit_aa_slope(h, y)
-    assert fit.F.value == pytest.approx(0.5, abs=1e-12)
-    assert fit.intercept_check == pytest.approx(1.3, rel=1e-9)
-    assert fit.n_points == 30
-
-
-def test_aa_slope_filters_low_h():
-    h = np.concatenate([np.linspace(0.2, 2.0, 10), np.geomspace(3.0, 50.0, 12)])
-    y = -(G0 / (2 * math.pi)) * 0.4 * np.log(np.maximum(h, 1.31) / 1.3)
-    fit = fit_aa_slope(h, y)
-    assert fit.n_points == 12
-    assert fit.F.value == pytest.approx(0.4, abs=1e-10)
-    with pytest.raises(ValueError, match="h >= 40"):
-        fit_aa_slope(h, y, h_min=40.0)
-
-
-def test_aa_slope_noisy_recovery():
-    h = np.geomspace(3.0, 100.0, 40)
-    y = -(G0 / (2 * math.pi)) * 0.5 * np.log(h / 1.3)
-    rng = np.random.default_rng(1)
-    fit = fit_aa_slope(h, y * (1.0 + 0.02 * rng.standard_normal(h.size)))
-    assert abs(fit.F.value - 0.5) / 0.5 < 0.01

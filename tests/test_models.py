@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from deltamag import (
     InPlaneParams,
     WlParams,
     elastic_field,
+    g2,
     gamma_param,
     phase_breaking_field,
     reduced_field,
@@ -21,7 +23,7 @@ from deltamag import (
     zeeman_aa,
 )
 from deltamag.constants import G0
-from deltamag.models import H_CROSS_C1
+from deltamag.models import g2_log_slope
 
 # row-1 layer scale: l_phi = 86 nm, l = 11.7 nm
 P1 = WlParams(l_phi=86e-9, l_mfp=11.7e-9)
@@ -141,11 +143,57 @@ def test_reduced_field_value():
 
 
 def test_zeeman_log_branch_value():
-    # h = 13 sits on the log branch; ln(13 / 1.3) = ln 10
+    # h = 13 sits on the log branch: g2(13) = 2.283049290504436 (40-digit
+    # mpmath), 0.021 below the asymptote ln(13 / 1.298)
     p = AaParams(F=1.0)
     T = 0.6
     B = 13.0 * 1.380649e-23 * T / (2.0 * 9.2740100783e-24)
-    assert zeeman_aa(B, T, p) == pytest.approx(-G0 * math.log(10.0) / (2 * math.pi), rel=1e-12)
+    assert zeeman_aa(B, T, p) == pytest.approx(-G0 * 2.283049290504436 / (2 * math.pi), rel=1e-12)
+
+
+def g2_quad(h):
+    """g2 by quadrature of eq. 4.23 of Lee & Ramakrishnan, split at the log singularity."""
+
+    def d2(w):  # second derivative of w / (e^w - 1)
+        if w < 0.05:
+            return 1.0 / 6.0 - w * w / 60.0 + w**4 / 1008.0
+        u, d = math.exp(-w), -math.expm1(-w)
+        return (2.0 * w / d - 2.0 - w) * u / d**2
+
+    def f(w):
+        return d2(w) * math.log(abs(1.0 - (h / w) ** 2))
+
+    opts = dict(limit=200, epsabs=0.0, epsrel=1e-11)
+    quad = scipy.integrate.quad
+    return quad(f, 0.0, h, **opts)[0] + quad(f, h, math.inf, **opts)[0]
+
+
+def test_g2_matches_quadrature():
+    h = np.geomspace(1e-3, 1e3, 50)
+    np.testing.assert_allclose(g2(h), [g2_quad(x) for x in h], rtol=1e-8)
+
+
+def test_g2_limits_and_series_join():
+    zeta3 = 1.2020569031595942
+    h = np.geomspace(1e-4, 1e-2, 5)
+    np.testing.assert_allclose(g2(h), 3.0 * zeta3 * h**2 / (4.0 * math.pi**2), rtol=1e-4)
+    h = np.geomspace(1e4, 1e6, 5)  # the asymptote is approached as 1/h^2
+    asymptote = np.log(h / (2.0 * math.pi)) + 0.5772156649015329 + 1.0
+    np.testing.assert_allclose(g2(h), asymptote, atol=1e-7)
+    # the small-h series hands over to the closed form at c = h/2pi = 1/4
+    join = math.pi / 2.0
+    for f in (g2, g2_log_slope):
+        below, at = f(np.nextafter(join, 0.0)), f(join)
+        assert abs(at - below) < 1e-15
+    assert isinstance(g2(1.0), float) and g2(0.0) == 0.0
+    assert g2(np.ones((2, 3))).shape == (2, 3)
+
+
+def test_g2_log_slope_matches_central_differences():
+    h = np.geomspace(1e-2, 1e3, 40)
+    eps = 1e-5
+    fd = (g2(h * (1.0 + eps)) - g2(h * (1.0 - eps))) / (2.0 * eps)
+    np.testing.assert_allclose(g2_log_slope(h), fd, rtol=1e-8)
 
 
 def test_zeeman_zero_field_and_even():
@@ -154,35 +202,6 @@ def test_zeeman_zero_field_and_even():
     B = np.linspace(-2.0, 2.0, 21)
     np.testing.assert_array_equal(zeeman_aa(B, 0.3, p), zeeman_aa(-B, 0.3, p))
     assert np.all(zeeman_aa(B[B != 0], 0.3, p) < 0.0)
-
-
-def test_zeeman_crossover_continuity():
-    p = AaParams(F=0.7)
-    T = 0.5
-    k = 1.380649e-23 * T / (2.0 * 9.2740100783e-24)  # B per unit h
-    eps = 1e-10
-    below = zeeman_aa((H_CROSS_C1 - eps) * k, T, p)
-    above = zeeman_aa((H_CROSS_C1 + eps) * k, T, p)
-    assert abs(above - below) < 1e-10 * G0
-    # the default crossover matches slopes too
-    eps = 1e-6
-    d_below = (
-        zeeman_aa((H_CROSS_C1 - eps) * k, T, p) - zeeman_aa((H_CROSS_C1 - 3 * eps) * k, T, p)
-    ) / (2 * eps * k)
-    d_above = (
-        zeeman_aa((H_CROSS_C1 + 3 * eps) * k, T, p) - zeeman_aa((H_CROSS_C1 + eps) * k, T, p)
-    ) / (2 * eps * k)
-    assert d_above == pytest.approx(d_below, rel=1e-5)
-    # a non-default crossover stays continuous in value
-    eps = 1e-10
-    lo = zeeman_aa((3.0 - eps) * k, T, p, h_cross=3.0)
-    hi = zeeman_aa((3.0 + eps) * k, T, p, h_cross=3.0)
-    assert abs(hi - lo) < 1e-10 * G0
-
-
-def test_zeeman_crossover_validation():
-    with pytest.raises(ValueError, match="1.3"):
-        zeeman_aa(1.0, 0.5, AaParams(F=0.5), h_cross=1.2)
 
 
 def test_zeeman_f_scaling():

@@ -137,24 +137,23 @@ def test_powerlaw_stage(clean_run):
 
 def test_collapse_stage(clean_run):
     col = clean_run["report"].stages["collapse"]
+    # no temperature is pinned; the hottest is named for the check below
     assert col["anchor_T_bath_K"] == max(TEMPS)
-    assert col["h_min"] == 3.0
     temps = col["temperatures"]
     assert [t["T_bath_K"] for t in temps] == sorted(TEMPS)
     for t in temps:
         # t_sat = 0, so every effective temperature is the bath value
         assert t["T_eff_K"] == pytest.approx(t["T_bath_K"], rel=1e-3)
-    anchor = [t for t in temps if t["T_bath_K"] == max(TEMPS)][0]
-    assert anchor["T_eff_K"] == anchor["T_bath_K"]
-    assert anchor["T_eff_stderr_K"] == 0.0  # gauge-fixed
+        assert t["T_eff_stderr_K"] > 0.0
+        assert t["at_bound"] is False
+        # the largest field, 2 T, at the fitted temperature
+        assert t["h_max"] == pytest.approx(2.0 * 1.3434 / t["T_eff_K"], rel=1e-4)
     assert col["converged"] is True
-    # summed over both series fits; neither starts at its own optimum
-    assert isinstance(col["iterations"], int) and col["iterations"] >= 2
-    assert col["nfev"] >= 2 and len(col["reasons"]) == 2
+    assert isinstance(col["iterations"], int) and col["iterations"] >= 1
+    assert col["nfev"] >= 2 and col["reason"] in ("gtol", "ftol", "xtol")
     assert col["dispersion"] < 1e-16
     assert col["dispersion_at_bath"] < 1e-16
     assert col["F"]["value"] == pytest.approx(F_TRUE, abs=5e-3)
-    assert col["intercept_check"] == pytest.approx(1.3, rel=2e-2)
 
 
 def test_plot_tables_present(clean_run):
@@ -315,7 +314,7 @@ def test_unknown_section_is_rejected(clean_run):
         run_analysis(clean_run["ds"], ("hall", "wl_fit"))
 
 
-PLOTS_DEMO1_SHA256 = "6a437236fba08d040be8b3c147bd6fcef7218fd57e8035df73d9770f8b80d7bd"
+PLOTS_DEMO1_SHA256 = "cb97ae27d3b16c9377394072989a2b0b9055f58d0211646f37d3558bcbaecc3c"
 
 
 def test_plot_tables_of_a_full_run_are_pinned(view_csvs):
@@ -380,10 +379,8 @@ def test_config_defaults_and_round_trip():
     cfg = AnalysisConfig()
     assert cfg.g_factor == 2.0
     assert cfg.T_c == 0.3
-    assert cfg.h_min == 3.0
     assert cfg.fit_window == (0.0, 2.0)
     assert cfg.kappa == pytest.approx(3.37e9)
-    assert cfg.anchor_T is None
     assert AnalysisConfig.from_dict({}) == cfg
     # geometry goes through a um conversion, so allow float round-off there
     rt = AnalysisConfig.from_dict(cfg.to_dict())
@@ -395,17 +392,15 @@ def test_config_defaults_and_round_trip():
         {
             "g": 1.4,
             "T_c_K": 0.5,
-            "h_min": 5.0,
             "fit_window_T": [0.1, 1.5],
             "kappa_nm": 2.0,
-            "anchor_T_K": 0.7,
             "geometry_um": [100.0, 10.0],
             "extrapolate_l_phi": True,
         }
     )
     assert full.g_factor == 1.4
     assert full.kappa == pytest.approx(2.0e9)
-    assert full.anchor_T == 0.7
+    assert full.T_c == 0.5
     assert full.geometry.L == pytest.approx(100e-6, rel=1e-12)
     assert full.geometry.W == pytest.approx(10e-6, rel=1e-12)
     assert full.geometry.squares == pytest.approx(10.0)

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
-from deltamag.special import digamma, trigamma
+from deltamag.special import digamma, tetragamma, trigamma
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -16,6 +16,7 @@ def test_known_values():
     assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-13)
     assert trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-14)
     assert trigamma(0.5) == pytest.approx(math.pi**2 / 2.0, rel=1e-14)
+    assert tetragamma(1.0) == pytest.approx(-2.0 * 1.2020569031595942, rel=1e-14)
 
 
 def test_matches_reference_over_working_range():
@@ -26,11 +27,25 @@ def test_matches_reference_over_working_range():
     assert err.max() < 1e-13
     ref = scipy.special.polygamma(1, x)
     assert np.max(np.abs(trigamma(x) - ref) / ref) < 1e-14
+    ref = scipy.special.polygamma(2, x)
+    assert np.max(np.abs(tetragamma(x) - ref) / np.abs(ref)) < 1e-14
+
+
+def test_complex_digamma_matches_reference():
+    # the Zeeman crossover g2 evaluates psi at z = 1 + ic, c = h/2pi
+    z = np.concatenate([1.0 + 1j * np.geomspace(1e-5, 1e4, 400), [0.3 - 2.0j, 5.0 + 0.5j]])
+    ref = scipy.special.psi(z)
+    assert np.max(np.abs(digamma(z) - ref) / np.abs(ref)) < 1e-14
+    assert isinstance(digamma(np.array(1.0 + 2.0j)), complex)
 
 
 def test_scalar_and_array_shapes():
     grid = [[1.0, 2.0], [3.0, 4.0]]
-    pairs = ((digamma, scipy.special.digamma), (trigamma, lambda x: scipy.special.polygamma(1, x)))
+    pairs = (
+        (digamma, scipy.special.digamma),
+        (trigamma, lambda x: scipy.special.polygamma(1, x)),
+        (tetragamma, lambda x: scipy.special.polygamma(2, x)),
+    )
     for fun, ref in pairs:
         assert isinstance(fun(3.0), float)
         out = fun(np.array(grid))
@@ -39,19 +54,23 @@ def test_scalar_and_array_shapes():
 
 
 def test_rejects_nonpositive_and_nonfinite():
-    for fun in (digamma, trigamma):
+    for fun in (digamma, trigamma, tetragamma):
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite x > 0"):
                 fun(bad)
         with pytest.raises(ValueError):
             fun(np.array([1.0, -2.0]))
+        for bad in np.array([-0.5 + 1.0j, 1.0j, complex(1.0, math.inf)]):
+            with pytest.raises(ValueError, match="Re x > 0 if complex"):
+                fun(np.array(bad))
 
 
 @given(st.floats(min_value=1e-2, max_value=1e3))
 def test_recurrence_identity(x):
-    # psi(x + 1) = psi(x) + 1/x and psi1(x) - psi1(x + 1) = 1/x^2
+    # psi(x + 1) = psi(x) + 1/x, psi1(x) - psi1(x + 1) = 1/x^2, psi2(x + 1) - psi2(x) = 2/x^3
     assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) < 1e-10
     assert abs(trigamma(x) - trigamma(x + 1.0) - 1.0 / x**2) < 1e-14 * max(1.0, 1.0 / x**2)
+    assert abs(tetragamma(x + 1.0) - tetragamma(x) - 2.0 / x**3) < 1e-14 * max(1.0, 2.0 / x**3)
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))
