@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .fit import Measured, Residual, levmar
-from .models import g2, g2_log_slope, reduced_field, wl_inplane, wl_perp_shape, InPlaneParams
+from .models import g2, g2_with_log_slope, reduced_field, wl_inplane, wl_perp_shape, InPlaneParams
 from .constants import G0
 
 
@@ -199,7 +199,7 @@ def _pava_sse(means, weights, increasing):
     sums = []   # sum of w*y per block
     wts = []    # sum of w per block
     lens = []   # tied-point count per block
-    for v, w in zip(y, weights):
+    for v, w in zip(y.tolist(), weights.tolist()):  # float arithmetic beats numpy scalars
         s, ww, ln = v * w, w, 1
         while sums and sums[-1] * ww >= s * wts[-1]:
             s += sums.pop()
@@ -300,8 +300,10 @@ def collapse_teff(
     [ln 0.75, ln 30] and A = F exp(-2 mean theta). Below the crossover the
     data fix only F/T_eff^2; A, unlike F, stays put along that valley. The
     covariance gives the T_eff standard errors and, by the delta method,
-    F's. The result also holds the pooled points, the dispersion at the
-    bath and at the fitted temperatures, and the residues binned in ln h.
+    F's. g2 and its slope are computed once per ``levmar`` point, on the
+    distinct (curve, |B|) points only. The result also holds the pooled
+    points, the dispersion at the bath and at the fitted temperatures, and
+    the residues binned in ln h.
     """
     if len(curves) < 3:
         raise ValueError("need at least 3 temperatures to collapse")
@@ -315,19 +317,29 @@ def collapse_teff(
 
     yn = y / (G0 / math.pi)  # G0/pi units; the fit sees them only through rounding
     in_curve = ids[:, None] == np.arange(n)
+    # g2 runs on the distinct (curve, ln h) points: both orientations and field
+    # signs share each |B|; equal h of two curves part once their theta differ
+    keys, inverse = np.unique(ids + 1j * x_bath, return_inverse=True)  # axis=0 sorts 10x slower
+    u_ids, u_x = keys.real.astype(int), keys.imag
+    kept = [None, None, None]  # p, g2 and h dg2/dh of the last evaluation
+
+    def keep_g2(p):
+        g, slope = g2_with_log_slope(np.exp(u_x - p[:n][u_ids]))
+        kept[:] = p.copy(), g[inverse], slope[inverse]
 
     def evaluate(p):
-        g = g2(np.exp(x_bath - p[:n][ids]))
-        return -0.5 * p[n] * math.exp(2.0 * p[:n].mean()) * g - yn
+        keep_g2(p)
+        return -0.5 * p[n] * math.exp(2.0 * p[:n].mean()) * kept[1] - yn
 
     def jacobian(p):
-        h = np.exp(x_bath - p[:n][ids])
-        g = g2(h)
+        if not np.array_equal(p, kept[0]):  # levmar always asks at its last evaluation
+            keep_g2(p)
+        _, g, slope = kept
         w = math.exp(2.0 * p[:n].mean())
-        d_theta = 0.5 * p[n] * w * (in_curve * g2_log_slope(h)[:, None] - (2.0 / n) * g[:, None])
+        d_theta = 0.5 * p[n] * w * (in_curve * slope[:, None] - (2.0 / n) * g[:, None])
         return np.column_stack([d_theta, -0.5 * w * g])
 
-    g_bath = g2(np.exp(x_bath))
+    g_bath = g2(np.exp(u_x))[inverse]
     a0 = -2.0 * float(g_bath @ yn) / float(g_bath @ g_bath)
     lo, hi = np.full(n, math.log(0.75)), np.full(n, math.log(30.0))
     bounds = (np.append(lo, -np.inf), np.append(hi, np.inf))

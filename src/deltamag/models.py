@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, G0, HBAR, K_B, MU_B
-from .special import digamma, tetragamma, trigamma
+from .special import digamma, polygammas
 
 EULER_GAMMA = 0.5772156649015329
 # zeta(3), zeta(5), ..., zeta(31)
@@ -36,9 +36,11 @@ _ZETA_ODD = (
     1.0000019082127165, 1.0000004769329869, 1.000000119219926, 1.0000000298035034,
     1.0000000074507118, 1.0000000018626598, 1.0000000004656628,
 )
-# c^2 sum_n (-c^2)^n a_n with c = h/2pi: the Taylor series of g2 and of h dg2/dh
-_G2_SERIES = tuple((2 * n + 3) * z for n, z in enumerate(_ZETA_ODD))
-_G2_SLOPE_SERIES = tuple((2 * n + 2) * (2 * n + 3) * z for n, z in enumerate(_ZETA_ODD))
+# c^2 sum_n (-c^2)^n a_n with c = h/2pi: the Taylor series of g2 and of h dg2/dh,
+# the a_n of both side by side
+_G2_SERIES = np.array(
+    [[[(2 * n + 3) * z], [(2 * n + 2) * (2 * n + 3) * z]] for n, z in enumerate(_ZETA_ODD)]
+)
 
 
 @dataclass(frozen=True)
@@ -201,21 +203,25 @@ def reduced_field(B, T: float, g_factor: float = 2.0):
     return float(out) if arr.ndim == 0 else out
 
 
-def _crossover(h, series, closed):
-    """A function of c = h/2pi: ``series`` below c = 1/4, ``closed(c, 1 + ic)`` above."""
+def g2_with_log_slope(h):
+    """g2(h) and h dg2/dh = c (-2 Im psi1(z) - c Re psi2(z)) as arrays shaped
+    like h, with c and z as in ``g2``, from one polygamma lift."""
     arr = np.asarray(h, dtype=float)
-    c = np.atleast_1d(arr) / (2.0 * math.pi)
-    out = np.empty_like(c)
+    c = arr.reshape(-1) / (2.0 * math.pi)
+    g, slope = np.empty_like(c), np.empty_like(c)
     small = c < 0.25  # there 15 terms are exact to rounding; the closed form cancels gamma_E
     c2 = c[small] ** 2
     acc = 0.0
-    for a in reversed(series):
+    for a in _G2_SERIES[::-1]:
         acc = acc * -c2 + a
-    out[small] = c2 * acc
+    g[small], slope[small] = c2 * acc
     big = ~small
     if big.any():
-        out[big] = closed(c[big], 1.0 + 1j * c[big])
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        cb = c[big]
+        psi, psi1, psi2 = polygammas(1.0 + 1j * cb)
+        g[big] = EULER_GAMMA + psi.real - cb * psi1.imag
+        slope[big] = cb * (-2.0 * psi1.imag - cb * psi2.real)
+    return g.reshape(arr.shape), slope.reshape(arr.shape)
 
 
 def g2(h):
@@ -232,16 +238,8 @@ def g2(h):
     ln(h/2pi) + gamma_E + 1 = ln(h/1.298) for h >> 1; g2(1) = 0.0881,
     g2(3) = 0.617. Takes h >= 0; scalar in, scalar out.
     """
-    return _crossover(
-        h, _G2_SERIES, lambda c, z: EULER_GAMMA + digamma(z).real - c * trigamma(z).imag
-    )
-
-
-def g2_log_slope(h):
-    """h dg2/dh = c (-2 Im psi1(z) - c Re psi2(z)), with c and z as in ``g2``."""
-    return _crossover(
-        h, _G2_SLOPE_SERIES, lambda c, z: c * (-2.0 * trigamma(z).imag - c * tetragamma(z).real)
-    )
+    g = g2_with_log_slope(h)[0]
+    return float(g) if g.ndim == 0 else g
 
 
 def zeeman_aa(B, T: float, p: AaParams):

@@ -1,9 +1,10 @@
-"""Digamma, trigamma and tetragamma functions.
+"""Digamma and trigamma functions, and the first three polygammas at once.
 
 The weak-localization lineshape needs psi(1/2 + x) for x from ~1e-9 up to
 ~1e8, and its Jacobian the trigamma psi1 at the same points, so both must
 be accurate over a wide range and cheap to evaluate on arrays. The Zeeman
-crossover function evaluates psi, psi1 and psi2 at complex z = 1 + ic.
+crossover function evaluates psi, psi1 and psi2 at complex z = 1 + ic, all
+three from one lift (``polygammas``).
 Every argument (real x > 0, or a complex array with Re z > 0) is lifted
 by ten steps of the recurrences
 
@@ -84,12 +85,20 @@ def trigamma(x):
     return result[0].item() if arr.ndim == 0 else result.reshape(arr.shape)
 
 
-def tetragamma(x):
-    """Tetragamma psi2 = d psi1/dx; arguments, shapes and errors as for ``digamma``."""
-    arr, steps, w = _lift(x, "tetragamma")
+def polygammas(x):
+    """(psi, psi1, psi2) from one lift, psi and psi1 bitwise equal to ``digamma``
+    and ``trigamma``; arguments, shapes and errors as for ``digamma``."""
+    arr, steps, w = _lift(x, "polygammas")
     z = 1.0 / (w * w)
-    tail = 0.0
-    for n in range(len(_TAIL_COEFFS), 0, -1):  # B_2n (2n + 1)
-        tail = (tail + (2 * n + 1) * 2 * n * _TAIL_COEFFS[n - 1]) * z
-    result = -(1.0 + 1.0 / w + tail) * z - 2.0 * (1.0 / (steps * steps * steps)).sum(axis=1)
-    return result[0].item() if arr.ndim == 0 else result.reshape(arr.shape)
+    t0 = t1 = t2 = 0.0
+    for n in range(len(_TAIL_COEFFS), 0, -1):  # the tails above; B_2n (2n + 1) for psi2
+        c = _TAIL_COEFFS[n - 1]
+        t0 = (t0 + c) * z
+        t1 = (t1 + 2 * n * c) * z
+        t2 = (t2 + (2 * n + 1) * 2 * n * c) * z
+    out = (
+        np.log(w) - 0.5 / w - t0 - (1.0 / steps).sum(axis=1),
+        (1.0 + 0.5 / w + t1) / w + (1.0 / (steps * steps)).sum(axis=1),
+        -(1.0 + 1.0 / w + t2) * z - 2.0 * (1.0 / (steps * steps * steps)).sum(axis=1),
+    )
+    return tuple(r[0].item() if arr.ndim == 0 else r.reshape(arr.shape) for r in out)

@@ -199,7 +199,7 @@ def write_plot_csv(path, title: str, columns) -> None:
     n = arrays[0].size if arrays else 0
     if any(a.size != n for a in arrays):
         raise ValueError("plot columns must have equal length")
+    row = ",".join([FLOAT_FMT] * len(arrays))
     lines = [f"# {title}", ",".join(names)]
-    for i in range(n):
-        lines.append(",".join(FLOAT_FMT % a[i] for a in arrays))
+    lines.extend(row % cells for cells in zip(*(a.tolist() for a in arrays)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -316,3 +316,57 @@ def test_collapse_without_log_branch_still_fits_f():
     assert np.all(res.h_max < 2.0)
     assert math.isfinite(res.F.value) and 0.0 < res.F.stderr < 0.05
     assert abs(res.F.value - 0.5) < 3.0 * res.F.stderr
+
+
+def test_collapse_jacobian_matches_differences(monkeypatch):
+    import deltamag.collapse
+    from deltamag.fit import levmar
+
+    problems = []
+
+    def capture(residual, init, bounds=None, **kwargs):
+        problems.append((residual, np.array(init, dtype=float)))
+        return levmar(residual, init, bounds, **kwargs)
+
+    monkeypatch.setattr(deltamag.collapse, "levmar", capture)
+    B = np.linspace(-2.0, 2.0, 81)  # both signs of each |B|, and B = 0
+    collapse_teff(aa_curves([0.1, 0.2, 0.4], B, t_sat=0.15, noise=0.002, seed=3))
+    residual, init = problems[0]
+    n = init.size - 1
+
+    def differences(p):
+        steps = np.append(np.full(n, 1e-5), 1e-5 * abs(p[n]))
+        columns = []
+        for i, s in enumerate(steps):
+            dp = np.zeros_like(p)
+            dp[i] = s
+            columns.append((residual.evaluate(p + dp) - residual.evaluate(p - dp)) / (2.0 * s))
+        return np.column_stack(columns)
+
+    # the start point, evaluated last as levmar does before asking for J
+    residual.evaluate(init)
+    J = residual.jacobian(init)
+    fd = differences(init)
+    col = np.abs(fd).max(axis=0)
+    np.testing.assert_allclose(J / col, fd / col, rtol=0, atol=1e-7)
+    # a point other than the last one evaluated: J must not reuse stale g2
+    p = init + np.append([0.4, -0.2, 0.1], 0.3 * init[n])
+    fd = differences(p)
+    residual.evaluate(init)
+    J = residual.jacobian(p)
+    col = np.abs(fd).max(axis=0)
+    np.testing.assert_allclose(J / col, fd / col, rtol=0, atol=1e-7)
+    residual.evaluate(p)
+    np.testing.assert_array_equal(residual.jacobian(p), J)
+
+
+def test_collapse_noiseless_with_coinciding_bath_fields():
+    # (0.1 K, B) and (0.2 K, 2B) share one h at the bath, but their T_eff
+    # move them apart: g2 must be computed per curve, not per bath h
+    temps, t_sat = [0.1, 0.2, 0.4], 0.15
+    B = np.linspace(-2.0, 2.0, 81)
+    x = [np.log(reduced_field(np.abs(B[B != 0.0]), T)) for T in temps]
+    assert np.intersect1d(x[0], x[1]).size >= 10 and np.intersect1d(x[1], x[2]).size >= 10
+    res = collapse_teff(aa_curves(temps, B, t_sat=t_sat))
+    np.testing.assert_allclose(res.t_eff, np.hypot(temps, t_sat), rtol=1e-9)
+    assert abs(res.F.value - 0.5) / 0.5 < 1e-9

@@ -23,7 +23,7 @@ from deltamag import (
     zeeman_aa,
 )
 from deltamag.constants import G0
-from deltamag.models import g2_log_slope
+from deltamag.models import g2_with_log_slope
 
 # row-1 layer scale: l_phi = 86 nm, l = 11.7 nm
 P1 = WlParams(l_phi=86e-9, l_mfp=11.7e-9)
@@ -182,7 +182,7 @@ def test_g2_limits_and_series_join():
     np.testing.assert_allclose(g2(h), asymptote, atol=1e-7)
     # the small-h series hands over to the closed form at c = h/2pi = 1/4
     join = math.pi / 2.0
-    for f in (g2, g2_log_slope):
+    for f in (g2, lambda h: g2_with_log_slope(h)[1]):
         below, at = f(np.nextafter(join, 0.0)), f(join)
         assert abs(at - below) < 1e-15
     assert isinstance(g2(1.0), float) and g2(0.0) == 0.0
@@ -193,7 +193,19 @@ def test_g2_log_slope_matches_central_differences():
     h = np.geomspace(1e-2, 1e3, 40)
     eps = 1e-5
     fd = (g2(h * (1.0 + eps)) - g2(h * (1.0 - eps))) / (2.0 * eps)
-    np.testing.assert_allclose(g2_log_slope(h), fd, rtol=1e-8)
+    g, slope = g2_with_log_slope(h)
+    np.testing.assert_allclose(slope, fd, rtol=1e-8)
+    np.testing.assert_array_equal(g, g2(h))
+
+
+def test_g2_with_log_slope_shapes():
+    # one pass gives g2 bitwise, on both sides of the series join, in h's shape
+    h = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 59)]).reshape(3, 20)
+    g, slope = g2_with_log_slope(h)
+    assert g.shape == slope.shape == (3, 20)
+    np.testing.assert_array_equal(g, g2(h))
+    assert g[0, 0] == slope[0, 0] == 0.0
+    assert g2_with_log_slope(2.0)[0] == g2(2.0)
 
 
 def test_zeeman_zero_field_and_even():

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from deltamag import SweepRecord, parse_sweep_csv, write_plot_csv, write_sweep_csv
-from deltamag.sweepio import SWEEP_HEADER
+from deltamag.sweepio import FLOAT_FMT, SWEEP_HEADER
 
 
 def sample_records():
@@ -98,6 +100,19 @@ def test_plot_files_are_not_measurement_input(tmp_path):
 def test_plot_columns_must_align():
     with pytest.raises(ValueError, match="equal length"):
         write_plot_csv("/tmp/unused.csv", "t", [("a", [1.0, 2.0]), ("b", [1.0])])
+
+
+def test_plot_rows_format_like_each_cell(tmp_path):
+    # one '%' per row gives the bytes of formatting each cell on its own
+    cells = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e-300, 3.0, -42.0, 5e-324]
+    columns = [("a", cells), ("b", cells[::-1]), ("c", np.arange(len(cells), dtype=float))]
+    p = tmp_path / "plot.csv"
+    write_plot_csv(p, "edge values", columns)
+    rows = zip(*(np.asarray(v, dtype=float) for _, v in columns))
+    expected = ["# edge values", "a,b,c"] + [",".join(FLOAT_FMT % v for v in row) for row in rows]
+    assert p.read_bytes() == ("\n".join(expected) + "\n").encode()
+    write_plot_csv(p, "empty", [("a", []), ("b", [])])
+    assert p.read_bytes() == b"# empty\na,b\n"
 
 
 def test_mixed_hall_column_rejected(tmp_path):
