@@ -36,7 +36,6 @@ from .hall import (
     interaction_rs,
     mean_free_path,
     mobility,
-    sheet_conductivity,
 )
 from .fit import (
     FitResult,
@@ -55,7 +54,6 @@ from .collapse import (
     AaCurve,
     CollapseResult,
     OrientedCurve,
-    WlFitTable,
     collapse_teff,
     dispersion,
     isolate_aa,
@@ -105,7 +103,6 @@ __all__ = [
     "SweepRecord",
     "SynthConfig",
     "WlDifferenceFit",
-    "WlFitTable",
     "WlParams",
     "characterize",
     "collapse_teff",
@@ -133,7 +130,6 @@ __all__ = [
     "phase_breaking_field",
     "reduced_field",
     "run_analysis",
-    "sheet_conductivity",
     "thickness_from_gamma",
     "to_si",
     "total_delta_sigma",

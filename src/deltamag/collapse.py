@@ -1,28 +1,32 @@
 """Interaction-channel isolation and the B/T scaling collapse.
 
 The measured magnetoconductance is WL plus an isotropic Zeeman interaction
-term. Subtracting the fitted WL model per orientation leaves the
-interaction residue; plotted against ln h with h = g mu_B B / (k_B T) the
-residues of all temperatures should fall on one curve. At low bath
-temperature they only do so once the electron temperature is allowed to
-float, which is how T_eff is measured: one least-squares fit puts the
-pooled points on the Zeeman law -(G0/2pi) F g2(h), jointly over F and
-every ln T_eff. The crossover of g2 from h^2 to ln h near h ~ 1-5 fixes the
-absolute h scale, so no temperature is pinned. ``dispersion`` scores, free
-of any model, how well the curves fall on one monotone curve at all.
+term. Subtracting, per orientation, the WL model fitted at the same
+temperature leaves the interaction residue; plotted against ln h with
+h = g mu_B B / (k_B T) the residues of all temperatures should fall on one
+curve. At low bath temperature they only do so once the electron
+temperature is allowed to float, which is how T_eff is measured: one
+least-squares fit puts the pooled points on the Zeeman law
+-(G0/2pi) F g2(h), jointly over F and every ln T_eff. The crossover of g2
+from h^2 to ln h near h ~ 1-5 fixes the absolute h scale, so no
+temperature is pinned. ``dispersion`` scores, free of any model, how well
+the curves fall on one monotone curve at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .fit import Measured, Residual, levmar
 from .models import g2, g2_with_log_slope, reduced_field, wl_inplane, wl_perp_shape, InPlaneParams
 from .constants import G0
+
+N_BINS = 40  # equal-width ln h bins of the overlap guard and the master curve
+MIN_SHARED_BINS = 3  # bins holding points of 2 or more curves that dispersion needs
 
 
 @dataclass
@@ -65,106 +69,31 @@ class AaCurve:
         self.delta_sigma = self.delta_sigma[order]
 
 
-@dataclass
-class WlFitTable:
-    """Fitted WL parameters per temperature, interpolable in T.
-
-    l_phi is interpolated linearly in log-log (power-law behavior between
-    nodes); gamma likewise, since gamma scales as l_phi^2 at fixed layer
-    geometry. Temperatures outside the node range raise unless
-    ``extrapolate`` is set, in which case the edge slope is extended.
-    """
-
-    T: np.ndarray
-    l_phi: np.ndarray
-    gamma: np.ndarray
-    l_mfp: float
-
-    def __post_init__(self):
-        self.T = np.asarray(self.T, dtype=float)
-        self.l_phi = np.asarray(self.l_phi, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        if not (self.T.shape == self.l_phi.shape == self.gamma.shape) or self.T.ndim != 1:
-            raise ValueError("T, l_phi, gamma must be 1-d arrays of equal length")
-        if self.T.size == 0:
-            raise ValueError("empty fit table")
-        if np.any(self.T <= 0.0) or np.any(self.l_phi <= 0.0) or np.any(self.gamma < 0.0):
-            raise ValueError("T and l_phi must be positive, gamma nonnegative")
-        order = np.argsort(self.T)
-        self.T = self.T[order]
-        self.l_phi = self.l_phi[order]
-        self.gamma = self.gamma[order]
-
-    def params_at(self, T: float, extrapolate: bool = False):
-        """Interpolated (l_phi, gamma) at temperature T."""
-        if not T > 0.0:
-            raise ValueError("T must be positive")
-        x = math.log(T)
-        xs = np.log(self.T)
-        if (x < xs[0] - 1e-12 or x > xs[-1] + 1e-12) and not extrapolate:
-            raise ValueError(
-                f"T = {T:g} K outside the fitted range "
-                f"[{self.T[0]:g}, {self.T[-1]:g}] K; pass extrapolate=True to extend"
-            )
-        l_phi = math.exp(_interp_line(x, xs, np.log(self.l_phi)))
-        if np.all(self.gamma > 0.0):
-            gamma = math.exp(_interp_line(x, xs, np.log(self.gamma)))
-        else:
-            gamma = max(_interp_line(x, xs, self.gamma), 0.0)
-        return l_phi, gamma
-
-
-def _interp_line(x, xs, ys):
-    """np.interp with linear extension beyond the end nodes."""
-    if xs.size == 1:
-        return float(ys[0])
-    if x < xs[0]:
-        s = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        return float(ys[0] + s * (x - xs[0]))
-    if x > xs[-1]:
-        s = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        return float(ys[-1] + s * (x - xs[-1]))
-    return float(np.interp(x, xs, ys))
-
-
 def isolate_aa(
-    curves: Sequence[OrientedCurve],
-    table: WlFitTable,
-    *,
-    extrapolate: bool = False,
-    merge: bool = True,
-):
-    """Subtract the fitted WL model from measured curves, leaving the residue.
+    curves: Sequence[OrientedCurve], wl_fits: Mapping[float, Tuple[float, float]], l_mfp: float
+) -> List[AaCurve]:
+    """Subtract from each curve the WL model fitted at its temperature.
 
+    ``wl_fits`` maps T_bath, rounded to 9 decimals, to the (l_phi, gamma)
+    fitted at that temperature; every curve's temperature must be a key.
     Perpendicular curves lose the digamma WL term, in-plane curves the
     log-quadratic orbital term; what remains is the isotropic interaction
-    correction in both cases, so both orientations at one bath temperature
-    merge into a single AaCurve (set ``merge=False`` to keep one AaCurve
-    per input curve, e.g. for isotropy checks).
+    correction in both cases, so the curves at one bath temperature merge
+    into a single AaCurve.
 
     Returns AaCurve list sorted by T_bath.
     """
-    residues = []
+    groups = {}
     for c in curves:
-        l_phi, gamma = table.params_at(c.T_bath, extrapolate)
+        key = round(c.T_bath, 9)
+        l_phi, gamma = wl_fits[key]
         if c.theta_deg == 0.0:
-            model = (G0 / math.pi) * wl_perp_shape(np.abs(c.B), l_phi, table.l_mfp)
+            model = (G0 / math.pi) * wl_perp_shape(np.abs(c.B), l_phi, l_mfp)
         else:
             model = wl_inplane(c.B, InPlaneParams(gamma))
-        residues.append((c.T_bath, c.B, c.delta_sigma - model))
-
-    if not merge:
-        return [AaCurve(T, B, r) for T, B, r in residues]
-
-    groups = {}
-    for T, B, r in residues:
-        key = round(T, 9)
-        if key in groups:
-            B0, r0 = groups[key]
-            groups[key] = (np.concatenate([B0, B]), np.concatenate([r0, r]))
-        else:
-            groups[key] = (B, r)
-    out = [AaCurve(T, B, r) for T, (B, r) in groups.items()]
+        T, B, r = groups.get(key, (c.T_bath, c.B[:0], c.B[:0]))
+        groups[key] = (T, np.concatenate([B, c.B]), np.concatenate([r, c.delta_sigma - model]))
+    out = [AaCurve(T, B, r) for T, B, r in groups.values()]
     out.sort(key=lambda c: c.T_bath)
     return out
 
@@ -187,10 +116,10 @@ def _pooled_points(curves, t_eff, g_factor):
     return tuple(np.concatenate(a) for a in (xs, ys, ids, Bs))
 
 
-def _bin_index(x, n_bins):
-    """Index of the equal-width bin over [min x, max x] holding each x."""
-    edges = np.linspace(x.min(), x.max(), n_bins + 1)
-    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
+def _bin_index(x):
+    """Index of the equal-width bin of N_BINS over [min x, max x] holding each x."""
+    edges = np.linspace(x.min(), x.max(), N_BINS + 1)
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, N_BINS - 1)
 
 
 def _pava_sse(means, weights, increasing):
@@ -214,14 +143,7 @@ def _pava_sse(means, weights, increasing):
     return float(np.sum(weights * (y - fitted) ** 2))
 
 
-def dispersion(
-    curves: Sequence[AaCurve],
-    t_eff=None,
-    *,
-    g_factor: float = 2.0,
-    n_bins: int = 40,
-    min_shared_bins: int = 3,
-) -> float:
+def dispersion(curves: Sequence[AaCurve], t_eff=None, *, g_factor: float = 2.0) -> float:
     """Mean squared deviation of pooled points from one monotone master curve.
 
     Points from all curves are placed at x = ln h using each curve's
@@ -229,7 +151,9 @@ def dispersion(
     isotonic regression; ties in x are forced to share a fitted value, so
     the result is zero exactly when all points lie on a single monotone
     curve. Both monotone directions are tried and the smaller deviation
-    kept. Deterministic and invariant under curve reordering.
+    kept. Deterministic and invariant under curve reordering. Raises when
+    fewer than MIN_SHARED_BINS of N_BINS equal-width ln h bins hold points
+    of two or more curves, since then no collapse constraint exists.
     """
     if t_eff is None:
         t_eff = [c.T_bath for c in curves]
@@ -241,12 +165,12 @@ def dispersion(
     span = float(x.max() - x.min())
     if span <= 0.0:
         raise ValueError("all points share one h value; no curve to collapse onto")
-    pairs = np.unique(_bin_index(x, n_bins) * len(curves) + ids)  # (bin, curve) codes
-    shared = int(np.sum(np.bincount(pairs // len(curves), minlength=n_bins) >= 2))
-    if shared < min_shared_bins:
+    pairs = np.unique(_bin_index(x) * len(curves) + ids)  # (bin, curve) codes
+    shared = int(np.sum(np.bincount(pairs // len(curves), minlength=N_BINS) >= 2))
+    if shared < MIN_SHARED_BINS:
         raise ValueError(
-            f"curves overlap in only {shared} of {n_bins} bins "
-            f"(need {min_shared_bins}); no collapse constraint exists"
+            f"curves overlap in only {shared} of {N_BINS} bins "
+            f"(need {MIN_SHARED_BINS}); no collapse constraint exists"
         )
 
     order = np.lexsort((y, x))
@@ -290,9 +214,7 @@ class CollapseResult:
     reason: str  # levmar's stopping test
 
 
-def collapse_teff(
-    curves: Sequence[AaCurve], *, g_factor: float = 2.0, n_bins: int = 40
-) -> CollapseResult:
+def collapse_teff(curves: Sequence[AaCurve], *, g_factor: float = 2.0) -> CollapseResult:
     """Fit F and every T_eff to the pooled residues by the Zeeman law.
 
     ``levmar`` puts the residues (in G0/pi) on -(F/2) g2(h), with
@@ -313,7 +235,7 @@ def collapse_teff(
     if y.size <= n + 1:
         raise ValueError(f"{y.size} nonzero-field points cannot fix {n + 1} unknowns")
     # raises early if the curves share no h support
-    at_bath = dispersion(curves, t_bath, g_factor=g_factor, n_bins=n_bins)
+    at_bath = dispersion(curves, t_bath, g_factor=g_factor)
 
     yn = y / (G0 / math.pi)  # G0/pi units; the fit sees them only through rounding
     in_curve = ids[:, None] == np.arange(n)
@@ -350,12 +272,12 @@ def collapse_teff(
     F = fit.params[n] * w
     grad = np.append(np.full(n, 2.0 * F / n), w)  # dF / d(theta, A)
     t_eff = t_bath * np.exp(theta)
-    best = dispersion(curves, t_eff, g_factor=g_factor, n_bins=n_bins)
+    best = dispersion(curves, t_eff, g_factor=g_factor)
 
     x = _pooled_points(curves, t_eff, g_factor)[0]
     h_max = np.zeros(n)
     np.maximum.at(h_max, ids, np.exp(x))
-    bins = _bin_index(x, n_bins)
+    bins = _bin_index(x)
     filled, counts = np.unique(bins, return_counts=True)
     # bin means in both coordinates, not bin centers
     master = np.column_stack([np.bincount(bins, weights=v)[filled] / counts for v in (x, y)])

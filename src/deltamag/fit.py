@@ -319,21 +319,17 @@ class WlDifferenceFit:
     fit: FitResult
 
 
-def fit_wl_difference(
-    B,
-    d_sigma,
-    l_mfp: float,
-    n_2d: float,
-    *,
-    sigma=None,
-    l_phi_max: float = 10e-6,
-) -> WlDifferenceFit:
+L_PHI_MAX = 10e-6  # m, upper bound of the coherence-length search
+
+
+def fit_wl_difference(B, d_sigma, l_mfp: float, n_2d: float) -> WlDifferenceFit:
     """Fit the perpendicular-minus-in-plane conductance difference.
 
     The model is wl_perp(B; l_phi, l) - wl_inplane(B; gamma) with the mean
     free path held fixed at its Hall value, so exactly two parameters are
-    free: l_phi and gamma. No prefactor multiplies the digamma lineshape.
-    The fitted gamma is converted to the layer thickness delta.
+    free: l_phi in [l, L_PHI_MAX] and gamma. No prefactor multiplies the
+    digamma lineshape. The fitted gamma is converted to the layer thickness
+    delta. The covariance is the sandwich estimate from the residuals.
 
     Parameters
     ----------
@@ -345,10 +341,6 @@ def fit_wl_difference(
         Mean free path from the Hall analysis, m.
     n_2d : float
         Sheet density, m^-2 (needed for the gamma -> delta conversion).
-    sigma : array_like, optional
-        Per-point uncertainties used as weights; unit weights if omitted.
-    l_phi_max : float
-        Upper bound of the coherence-length search window (default 10 um).
     """
     B = np.abs(np.asarray(B, dtype=float))
     y = np.asarray(d_sigma, dtype=float)
@@ -361,14 +353,11 @@ def fit_wl_difference(
     if B.size < 10:
         warnings.warn("fewer than 10 field points; fit may be poorly constrained")
 
-    unit = G0 / math.pi
-    yn = y / unit
-    wn = None if sigma is None else np.asarray(sigma, dtype=float) / unit
+    yn = y / (G0 / math.pi)
 
     def resid(p):
         lphi, gam = p
-        r = wl_perp_shape(B, lphi, l_mfp) - np.log1p(gam * B * B) - yn
-        return r if wn is None else r / wn
+        return wl_perp_shape(B, lphi, l_mfp) - np.log1p(gam * B * B) - yn
 
     nz = B > 0.0
 
@@ -380,7 +369,7 @@ def fit_wl_difference(
         J = np.zeros((B.size, 2))
         J[nz, 0] = (2.0 - 2.0 * x * trigamma(0.5 + x)) / lphi
         J[:, 1] = -B * B / (1.0 + gam * B * B)
-        return J if wn is None else J / wn[:, None]
+        return J
 
     # Low-field curvature start for l_phi: for small B the difference curve
     # is quadratic, yn/B^2 ~ 1/(24 B_phi^2) - 1/(24 B_l^2) - gamma.
@@ -396,11 +385,11 @@ def fit_wl_difference(
         l_phi0 = math.sqrt(HBAR / (4.0 * E_CHARGE * b_phi0))
     else:
         l_phi0 = 5.0 * l_mfp
-    l_phi0 = min(max(l_phi0, 1.000001 * l_mfp), 0.999999 * l_phi_max)
+    l_phi0 = min(max(l_phi0, 1.000001 * l_mfp), 0.999999 * L_PHI_MAX)
     gamma0 = 1e-4
 
     lo = np.array([l_mfp, 0.0])
-    hi = np.array([l_phi_max, 1.0])
+    hi = np.array([L_PHI_MAX, 1.0])
     x_scale = np.array([l_phi0, 1e-4])
     result = levmar(
         Residual(resid, jacobian),
@@ -410,15 +399,11 @@ def fit_wl_difference(
     )
     l_phi_hat, gamma_hat = result.params
 
-    if wn is None:
-        # Without per-point errors the noise scale must come from the
-        # residuals themselves, and measured curves are usually noisier
-        # where the signal is larger; the sandwich estimator stays honest
-        # under that heteroscedasticity where the plain chi-square
-        # covariance does not.
-        cov = _sandwich_covariance(result.jacobian, result.residual, x_scale)
-    else:
-        cov = result.covariance
+    # Without per-point errors the noise scale must come from the residuals
+    # themselves, and measured curves are usually noisier where the signal
+    # is larger; the sandwich estimator stays honest under that
+    # heteroscedasticity where the plain chi-square covariance does not.
+    cov = _sandwich_covariance(result.jacobian, result.residual, x_scale)
     l_phi_se = math.sqrt(max(cov[0, 0], 0.0))
     gamma_se = math.sqrt(max(cov[1, 1], 0.0))
 

@@ -88,13 +88,6 @@ def density_from_hall(B, R_xy) -> Measured:
     return Measured(n, n * slope_se / slope)
 
 
-def sheet_conductivity(R_xx: float, L: float, W: float) -> float:
-    """Sheet conductivity per square, sigma = (1/R_xx)(L/W)."""
-    if not (R_xx > 0.0 and L > 0.0 and W > 0.0):
-        raise ValueError("R_xx, L and W must be positive")
-    return (1.0 / R_xx) * (L / W)
-
-
 def mobility(n_2d: float, sigma_xx: float) -> float:
     """Drude mobility mu = sigma / (n e), m^2/(V s)."""
     if not (n_2d > 0.0 and sigma_xx > 0.0):

@@ -1,12 +1,18 @@
 """Staged analysis: Hall -> WL difference fits -> power law -> collapse.
 
 Each stage returns its report section and a typed result; later stages and
-the plot tables read those results, so every quantity is derived once. Only
-the requested sections and their upstream stages run. A failed stage is
-reported and everything downstream is marked skipped, so a partial dataset
-still yields a partial report. Reports render to JSON deterministically
-(sorted keys, 6 significant digits), with input hashes and the
-configuration echoed for provenance.
+the plot tables read those results, so every quantity is derived once. The
+WL stage fits each temperature's difference curve on its own and lists a
+temperature it cannot fit under ``skipped`` (a missing orientation, too few
+shared points, or a non-finite point such as an R_xx of 0). The collapse
+subtracts from each temperature's sweeps that temperature's own WL fit, so
+only temperatures with a converged fit enter it.
+
+Only the requested sections and their upstream stages run. A failed stage
+is reported and everything downstream is marked skipped, so a partial
+dataset still yields a partial report. Reports render to JSON
+deterministically (sorted keys, 6 significant digits), with input hashes
+and the configuration echoed for provenance.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import models
 from ._version import __version__
-from .collapse import OrientedCurve, WlFitTable, collapse_teff, isolate_aa
+from .collapse import OrientedCurve, collapse_teff, isolate_aa
 from .constants import G0, Quantity, _number, _pair, from_si, to_si
 from .fit import Measured, WlDifferenceFit, fit_coherence_power_law, fit_wl_difference
 from .hall import Geometry, KAPPA_DEFAULT, SamplePhysics, characterize, density_from_hall
@@ -48,7 +54,6 @@ class AnalysisConfig:
     fit_window: Tuple[float, float] = (0.0, 2.0)  # T, on |B|
     kappa: float = KAPPA_DEFAULT     # m^-1
     geometry: Geometry = field(default_factory=lambda: Geometry(200e-6, 20e-6))
-    extrapolate_l_phi: bool = False
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisConfig":
@@ -68,10 +73,6 @@ class AnalysisConfig:
         if "geometry_um" in d:
             L, W = (to_si(Quantity(x, "um")).value for x in _pair("geometry_um", d["geometry_um"]))
             kwargs["geometry"] = Geometry(L, W)
-        if "extrapolate_l_phi" in d:
-            if not isinstance(d["extrapolate_l_phi"], bool):
-                raise ValueError("config key 'extrapolate_l_phi' must be true or false")
-            kwargs["extrapolate_l_phi"] = d["extrapolate_l_phi"]
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -84,7 +85,6 @@ class AnalysisConfig:
                 from_si(Quantity(x, "m"), "um").value
                 for x in (self.geometry.L, self.geometry.W)
             ],
-            "extrapolate_l_phi": self.extrapolate_l_phi,
         }
 
 
@@ -252,10 +252,9 @@ def _wl_stage(ds: Dataset, sigma0: list, phys: SamplePhysics) -> Tuple[dict, Lis
             continue
         bad = ~np.isfinite(d[keep])
         if bad.any():
-            raise ValueError(
-                f"T_bath = {T_key:g} K: non-finite difference conductivity "
-                f"at B = {B[keep][bad][0]:g} T (R_xx = 0?)"
-            )
+            reason = f"non-finite difference conductivity at B = {B[keep][bad][0]:g} T (R_xx = 0?)"
+            skipped.append({"T_bath_K": T_key, "reason": reason})
+            continue
         res = fit_wl_difference(B[keep], d[keep], phys.l_mfp, phys.n_2d)
         fitted.append(WlTemperature(T_key, B, d, res))
         rows.append(
@@ -273,8 +272,9 @@ def _wl_stage(ds: Dataset, sigma0: list, phys: SamplePhysics) -> Tuple[dict, Lis
             }
         )
     if not fitted:
+        finite = ", finite" if any(s["reason"].startswith("non-finite") for s in skipped) else ""
         raise MissingDataError(
-            "no temperature has both orientations with enough shared points"
+            f"no temperature has both orientations with enough shared{finite} points"
         )
 
     good = [t.fit.delta for t in fitted if t.fit.fit.converged]
@@ -313,15 +313,11 @@ def _powerlaw_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature]):
 
 
 def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: SamplePhysics):
-    fits = [t for t in wl if t.fit.fit.converged]
+    # each temperature's residue is taken with its own WL fit; a temperature
+    # without a converged fit stays out of the collapse
+    fits = {t.T_bath: (t.fit.l_phi.value, t.fit.gamma.value) for t in wl if t.fit.fit.converged}
     if len(fits) < 3:
         raise MissingDataError("need WL fits at 3 or more temperatures")
-    table = WlFitTable(
-        T=np.array([t.T_bath for t in fits]),
-        l_phi=np.array([t.fit.l_phi.value for t in fits]),
-        gamma=np.array([max(t.fit.gamma.value, 0.0) for t in fits]),
-        l_mfp=phys.l_mfp,
-    )
     # measured Delta sigma(B) per sweep, baseline removed per sweep
     squares = ds.config.geometry.squares
     curves = [
@@ -332,11 +328,9 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: Sa
             delta_sigma=squares / s.R_xx - _checked(s0),
         )
         for s, s0 in zip(ds.sweeps, sigma0)
-        if len(s.B) >= 3
+        if round(s.T_bath, 9) in fits and len(s.B) >= 3
     ]
-    aa = isolate_aa(curves, table, extrapolate=ds.config.extrapolate_l_phi)
-    if len(aa) < 3:
-        raise MissingDataError("need interaction residues at 3 or more temperatures")
+    aa = isolate_aa(curves, fits, phys.l_mfp)
 
     result = collapse_teff(aa, g_factor=ds.config.g_factor)
     section = {

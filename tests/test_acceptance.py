@@ -18,7 +18,6 @@ from deltamag import (
     InPlaneParams,
     OrientedCurve,
     REFERENCE_LAYERS,
-    WlFitTable,
     WlParams,
     collapse_teff,
     digamma,
@@ -356,16 +355,11 @@ def test_11_aa_isotropy(criterion):
                 OrientedCurve(T, theta_deg, B, y + s * rng.standard_normal(B.size))
             )
             sigmas[(T, theta_deg)] = s
-    table = WlFitTable(
-        T=np.array(temps),
-        l_phi=np.array([lphi(T) for T in temps]),
-        gamma=np.array([gamma_param(delta, n, lphi(T), l_mfp) for T in temps]),
-        l_mfp=l_mfp,
-    )
-    residues = isolate_aa(curves, table, merge=False)
+    fits = {T: (lphi(T), gamma_param(delta, n, lphi(T), l_mfp)) for T in temps}
+    # one orientation per call, so the two residues at a temperature stay apart
     by = {
-        (oc.T_bath, oc.theta_deg): c.delta_sigma
-        for c, oc in zip(residues, curves)
+        (oc.T_bath, oc.theta_deg): isolate_aa([oc], fits, l_mfp)[0].delta_sigma
+        for oc in curves
     }
     z_max = 0.0
     for T in temps:

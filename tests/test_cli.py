@@ -159,7 +159,9 @@ def test_report_exit_1_when_a_stage_degrades(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_zero_resistance_row_is_a_stage_error(sweeps_csv, tmp_path, capsys):
-    # an in-plane R_xx of 0 makes one difference-curve point infinite
+    # an in-plane R_xx of 0 makes one difference-curve point infinite; the WL
+    # stage skips that temperature and fits the other two, too few for the
+    # power law and the collapse, so the report exits 1
     lines = sweeps_csv.read_text().splitlines()
     i = next(i for i, line in enumerate(lines) if line.startswith("S1,0.4,90,1.5,"))
     fields = lines[i].split(",")
@@ -171,9 +173,15 @@ def test_zero_resistance_row_is_a_stage_error(sweeps_csv, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     stages = json.loads((tmp_path / "S1_report.json").read_text())["stages"]
     assert stages["hall"]["status"] == "ok"
-    assert stages["wl"]["status"] == "error"
-    assert "T_bath = 0.4 K" in stages["wl"]["message"]
-    assert "B = 1.5 T" in stages["wl"]["message"]
+    assert stages["wl"]["status"] == "ok"
+    assert [f["T_bath_K"] for f in stages["wl"]["per_temperature"]] == [0.7, 1.2]
+    assert stages["wl"]["skipped"] == [
+        {"T_bath_K": 0.4, "reason": "non-finite difference conductivity at B = 1.5 T (R_xx = 0?)"}
+    ]
+    assert stages["powerlaw"]["status"] == "skipped"
+    assert stages["collapse"] == {
+        "status": "skipped", "reason": "need WL fits at 3 or more temperatures"
+    }
 
 
 def test_bad_fit_window(sweeps_csv, capsys):
@@ -198,7 +206,7 @@ def test_missing_input_file(tmp_path, capsys):
         ('{"geometry_um": 5}', "'geometry_um' must be a list of 2 numbers"),
         ('{"geometry_um": [200, 20, 5]}', "'geometry_um' must be a list of 2 numbers"),
         ('{"kappa_nm": null}', "'kappa_nm' must be a number"),
-        ('{"extrapolate_l_phi": "false"}', "'extrapolate_l_phi' must be true or false"),
+        ('{"extrapolate_l_phi": "false"}', "unknown analysis config key 'extrapolate_l_phi'"),
         ('{"kapa_nm": 3.0}', "unknown analysis config key 'kapa_nm'"),
         ('{"h_min": 3.0}', "unknown analysis config key 'h_min'"),
     ],

@@ -8,7 +8,6 @@ from deltamag import (
     AaParams,
     InPlaneParams,
     OrientedCurve,
-    WlFitTable,
     WlParams,
     collapse_teff,
     dispersion,
@@ -32,13 +31,9 @@ def l_phi_at(T):
     return AMP * T**-0.31
 
 
-def true_table(temps):
-    return WlFitTable(
-        T=np.asarray(temps, dtype=float),
-        l_phi=np.array([l_phi_at(T) for T in temps]),
-        gamma=np.array([gamma_param(DELTA, N_2D, l_phi_at(T), L_MFP) for T in temps]),
-        l_mfp=L_MFP,
-    )
+def true_fits(temps):
+    """The exact (l_phi, gamma) of each temperature, as isolate_aa takes them."""
+    return {T: (l_phi_at(T), gamma_param(DELTA, N_2D, l_phi_at(T), L_MFP)) for T in temps}
 
 
 def forward_curves(temps, B, F=0.5, t_sat=0.0):
@@ -54,54 +49,13 @@ def forward_curves(temps, B, F=0.5, t_sat=0.0):
     return out
 
 
-# ------------------------------------------------------------------ fit table
-
-def test_table_interpolates_at_nodes():
-    tab = true_table([0.1, 0.3, 1.0])
-    lp, g = tab.params_at(0.3)
-    assert lp == pytest.approx(l_phi_at(0.3), rel=1e-12)
-    assert g == pytest.approx(gamma_param(DELTA, N_2D, l_phi_at(0.3), L_MFP), rel=1e-12)
-
-
-def test_table_log_log_midpoint():
-    # between nodes the interpolation is a power law, so the value at the
-    # geometric-mean temperature is the geometric mean of the node values
-    tab = true_table([0.1, 1.0])
-    T_mid = math.sqrt(0.1 * 1.0)
-    lp, _ = tab.params_at(T_mid)
-    assert lp == pytest.approx(math.sqrt(l_phi_at(0.1) * l_phi_at(1.0)), rel=1e-12)
-    assert lp == pytest.approx(l_phi_at(T_mid), rel=1e-12)
-
-
-def test_table_range_guard_and_extrapolation():
-    tab = true_table([0.2, 0.5, 1.0])
-    with pytest.raises(ValueError, match="outside the fitted range"):
-        tab.params_at(0.05)
-    lp, _ = tab.params_at(0.05, extrapolate=True)
-    assert lp == pytest.approx(l_phi_at(0.05), rel=1e-12)  # edge slope is the true law
-
-
-def test_table_sorts_and_validates():
-    tab = WlFitTable(
-        T=np.array([1.0, 0.2]), l_phi=np.array([2e-8, 5e-8]), gamma=np.zeros(2), l_mfp=3e-9
-    )
-    assert tab.T[0] == 0.2
-    lp, g = tab.params_at(0.2)
-    assert lp == pytest.approx(5e-8, rel=1e-12)
-    assert g == 0.0
-    with pytest.raises(ValueError, match="empty"):
-        WlFitTable(T=np.array([]), l_phi=np.array([]), gamma=np.array([]), l_mfp=3e-9)
-    with pytest.raises(ValueError, match="positive"):
-        WlFitTable(T=np.array([0.5]), l_phi=np.array([-1e-8]), gamma=np.zeros(1), l_mfp=3e-9)
-
-
 # ----------------------------------------------------------------- isolate_aa
 
 def test_residue_is_exactly_the_isotropic_part():
     temps = [0.1, 0.3, 0.6]
     B = np.linspace(-2.0, 2.0, 41)
     curves = forward_curves(temps, B)
-    aa_curves = isolate_aa(curves, true_table(temps))
+    aa_curves = isolate_aa(curves, true_fits(temps), L_MFP)
     assert len(aa_curves) == 3
     for c in aa_curves:
         assert c.B.size == 2 * B.size  # both orientations merged
@@ -113,10 +67,10 @@ def test_residue_unmerged_keeps_orientations():
     temps = [0.2, 0.4, 0.8]
     B = np.linspace(-1.0, 1.0, 11)
     curves = forward_curves(temps, B)
-    aa_curves = isolate_aa(curves, true_table(temps), merge=False)
-    assert len(aa_curves) == len(curves)
-    for oc, ac in zip(curves, aa_curves):
+    for oc in curves:
+        (ac,) = isolate_aa([oc], true_fits(temps), L_MFP)
         assert ac.T_bath == oc.T_bath
+        np.testing.assert_array_equal(ac.B, oc.B)
         expect = zeeman_aa(ac.B, ac.T_bath, AaParams(F=0.5))
         np.testing.assert_allclose(ac.delta_sigma, expect, rtol=0, atol=1e-18)
 
@@ -126,8 +80,7 @@ def test_thin_layer_inplane_residue_is_the_data():
     B = np.linspace(0.0, 2.0, 21)
     y = zeeman_aa(B, 0.5, AaParams(F=0.4))
     curve = OrientedCurve(0.5, 90.0, B, y)
-    tab = WlFitTable(T=np.array([0.5]), l_phi=np.array([3e-8]), gamma=np.zeros(1), l_mfp=3e-9)
-    (res,) = isolate_aa([curve], tab)
+    (res,) = isolate_aa([curve], {0.5: (3e-8, 0.0)}, 3e-9)
     np.testing.assert_array_equal(res.delta_sigma, y)
 
 
@@ -190,20 +143,30 @@ def test_dispersion_needs_shared_support():
         dispersion([c1, c2])
 
 
-def test_dispersion_counts_shared_bins_like_a_loop():
-    # curves 3x apart in T overlap over part of the pooled ln h range
-    curves = aa_curves([0.1, 0.3, 0.9], np.linspace(0.05, 2.0, 30))
+def loop_shared_bins(curves):
+    """Bins of 40 over the pooled ln h range holding points of 2 or more curves."""
     x = [np.log(reduced_field(c.B, c.T_bath)) for c in curves]
     edges = np.linspace(min(v.min() for v in x), max(v.max() for v in x), 41)
     members = [set() for _ in range(40)]
     for i, xi in enumerate(x):
         for b in np.clip(np.searchsorted(edges, xi, side="right") - 1, 0, 39):
             members[b].add(i)
-    shared = sum(len(m) >= 2 for m in members)
-    assert 0 < shared < 40
+    return sum(len(m) >= 2 for m in members)
+
+
+def test_dispersion_counts_shared_bins_like_a_loop():
+    B = np.linspace(0.05, 2.0, 30)
+    # 15x apart in T, the two curves share only the edge of their ln h ranges
+    sparse = aa_curves([0.1, 1.5], B)
+    shared = loop_shared_bins(sparse)
+    assert 0 < shared < 3
     with pytest.raises(ValueError, match=f"overlap in only {shared} of 40 bins"):
-        dispersion(curves, min_shared_bins=shared + 1)
-    assert dispersion(curves, min_shared_bins=shared) >= 0.0
+        dispersion(sparse)
+    # 10x apart they share exactly the 3 bins needed; 3x apart, many more
+    for temps, want in (([0.1, 1.0], 3), ([0.1, 0.3, 0.9], 16)):
+        curves = aa_curves(temps, B)
+        assert loop_shared_bins(curves) == want
+        assert dispersion(curves) >= 0.0
 
 
 def test_dispersion_t_eff_length_guard():

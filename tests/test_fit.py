@@ -352,8 +352,7 @@ def central_differences(fun, p, steps):
     return np.column_stack(columns)
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "sigma"])
-def test_wl_jacobian_matches_differences(monkeypatch, weighted):
+def test_wl_jacobian_matches_differences(monkeypatch):
     import deltamag.fit
 
     problems = []
@@ -364,8 +363,7 @@ def test_wl_jacobian_matches_differences(monkeypatch, weighted):
 
     monkeypatch.setattr(deltamag.fit, "levmar", capture)
     B = np.linspace(-2.0, 2.0, 101)  # contains B = 0
-    sigma = np.linspace(1e-7, 3e-7, B.size) if weighted else None
-    fit_wl_difference(B, difference_curve(L07, B), L07.si("l_mfp"), L07.si("n_2d"), sigma=sigma)
+    fit_wl_difference(B, difference_curve(L07, B), L07.si("l_mfp"), L07.si("n_2d"))
     ((residual, (lo, hi)),) = problems
     # a point inside the box and one on the l_phi lower bound (l_phi = l)
     for p in (np.array([L07.si("l_phi"), 2e-3]), np.array([lo[0], 1e-4])):
@@ -374,16 +372,6 @@ def test_wl_jacobian_matches_differences(monkeypatch, weighted):
         assert np.all(J[B == 0.0] == 0.0)
         col = np.abs(fd).max(axis=0)
         np.testing.assert_allclose(J / col, fd / col, rtol=0, atol=1e-7)
-
-
-def test_wl_difference_explicit_sigma():
-    B = np.linspace(-2.0, 2.0, 60)
-    y = difference_curve(L07, B)
-    f = fit_wl_difference(
-        B, y, L07.si("l_mfp"), L07.si("n_2d"), sigma=np.full(B.size, 1e-7)
-    )
-    assert abs(f.l_phi.value - L07.si("l_phi")) / L07.si("l_phi") < 1e-8
-    assert np.all(np.isfinite(f.covariance))
 
 
 # ------------------------------------------------------- power law and slope

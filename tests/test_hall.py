@@ -12,7 +12,6 @@ from deltamag import (
     interaction_rs,
     mean_free_path,
     mobility,
-    sheet_conductivity,
 )
 from deltamag.constants import E_CHARGE, G0, HBAR
 
@@ -82,10 +81,6 @@ def test_geometry():
         Geometry(10e-6, 20e-6)
     with pytest.raises(ValueError):
         Geometry(200e-6, 0.0)
-
-
-def test_sheet_conductivity():
-    assert sheet_conductivity(800.0, 200e-6, 20e-6) == pytest.approx(10.0 / 800.0, rel=1e-15)
 
 
 def test_mobility_and_mean_free_path():

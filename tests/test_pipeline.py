@@ -395,7 +395,6 @@ def test_config_defaults_and_round_trip():
             "fit_window_T": [0.1, 1.5],
             "kappa_nm": 2.0,
             "geometry_um": [100.0, 10.0],
-            "extrapolate_l_phi": True,
         }
     )
     assert full.g_factor == 1.4
@@ -404,10 +403,16 @@ def test_config_defaults_and_round_trip():
     assert full.geometry.L == pytest.approx(100e-6, rel=1e-12)
     assert full.geometry.W == pytest.approx(10e-6, rel=1e-12)
     assert full.geometry.squares == pytest.approx(10.0)
-    assert full.extrapolate_l_phi is True
     rt = AnalysisConfig.from_dict(full.to_dict())
     assert rt.kappa == pytest.approx(full.kappa, rel=1e-12)
     assert rt.geometry.squares == pytest.approx(full.geometry.squares, rel=1e-12)
+
+
+def test_readme_config_schema_lists_every_key():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Analysis config schema", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert sorted(json.loads(block)) == sorted(AnalysisConfig().to_dict())
 
 
 JSON_VALUES = st.recursive(
@@ -485,7 +490,7 @@ def test_partial_temperatures_are_reported(tmp_path):
         d["sweep_plan"].append(
             {"T_bath_K": 3.0, "theta_deg": th, "B_T": {"start": -2.0, "stop": 2.0, "num": 8}}
         )
-    _, path, ds = build_dataset(tmp_path, d)
+    _, _, ds = build_dataset(tmp_path, d)
     report = run_analysis(ds)
     wl = report.stages["wl"]
     assert wl["status"] == "ok"
@@ -496,17 +501,41 @@ def test_partial_temperatures_are_reported(tmp_path):
         3.0: "fewer than 10 shared points in window",
     }
     assert report.stages["powerlaw"]["status"] == "ok"
-    # the 2 K and 3 K sweeps lie outside the fitted coherence table, so the
-    # collapse refuses them unless extrapolation is requested explicitly
+    # the 2 K and 3 K sweeps have no WL fit of their own, so they stay out of
+    # the collapse and are named only under wl.skipped
     col = report.stages["collapse"]
-    assert col["status"] == "error"
-    assert "outside the fitted range" in col["message"]
+    assert col["status"] == "ok"
+    assert [t["T_bath_K"] for t in col["temperatures"]] == [0.4, 0.7, 1.0]
 
-    allow = AnalysisConfig(extrapolate_l_phi=True)
-    report2 = run_analysis(load_datasets([path], allow)[0])
-    col2 = report2.stages["collapse"]
-    assert col2["status"] == "ok"
-    assert [t["T_bath_K"] for t in col2["temperatures"]] == [0.4, 0.7, 1.0, 2.0, 3.0]
+
+def test_zero_resistance_skips_only_its_temperature(tmp_path):
+    # an in-plane R_xx of 0 at 0.7 K, B = 1.5 T: one infinite point in one
+    # difference curve
+    d = synth_dict(num=41)
+    _, path, _ = build_dataset(tmp_path, d)
+    zero_resistance(path, "S1,0.7,90,1.5,")
+    report = run_analysis(load_datasets([path], AnalysisConfig())[0])
+    wl = report.stages["wl"]
+    assert wl["status"] == "ok"
+    assert [f["T_bath_K"] for f in wl["per_temperature"]] == [0.4, 1.0, 1.5]
+    assert wl["skipped"] == [
+        {"T_bath_K": 0.7, "reason": "non-finite difference conductivity at B = 1.5 T (R_xx = 0?)"}
+    ]
+    assert report.stages["powerlaw"]["status"] == "ok"
+    col = report.stages["collapse"]
+    assert col["status"] == "ok"
+    assert [t["T_bath_K"] for t in col["temperatures"]] == [0.4, 1.0, 1.5]
+
+
+def test_every_temperature_non_finite_skips_the_wl_stage(tmp_path):
+    d = synth_dict(temps=(0.4,), num=41)
+    _, path, _ = build_dataset(tmp_path, d)
+    zero_resistance(path, "S1,0.4,90,1.5,")
+    report = run_analysis(load_datasets([path], AnalysisConfig())[0])
+    assert report.stages["wl"] == {
+        "status": "skipped",
+        "reason": "no temperature has both orientations with enough shared, finite points",
+    }
 
 
 def test_sigma0_quadratic():
