@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -85,7 +86,6 @@ class Residual:
 @dataclass
 class FitResult:
     params: np.ndarray
-    covariance: np.ndarray
     residual_norm: float
     iterations: int
     converged: bool
@@ -94,6 +94,16 @@ class FitResult:
     residual: np.ndarray  # at ``params``
     reason: str  # the stopping test met; see ``levmar``
     nfev: int  # residual evaluations
+    x_scale: np.ndarray  # the parameter units the steps were solved in
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """(J^T J)^-1 times the reduced chi-square, computed on first read."""
+        J, r, scale2 = self.jacobian, self.residual, np.outer(self.x_scale, self.x_scale)
+        m, k = J.shape
+        chi2_red = float(r @ r) / max(m - k, 1)  # 2 cost / dof
+        cov = np.linalg.pinv((J.T @ J) * scale2, hermitian=True) * scale2 * chi2_red
+        return 0.5 * (cov + cov.T)
 
 
 class ResidualError(ValueError):
@@ -167,9 +177,10 @@ def levmar(
     Returns
     -------
     FitResult
-        With covariance (J^T J)^-1 scaled by the reduced chi-square at the
-        optimum, ``reason`` as above and ``nfev`` the number of residual
-        evaluations.
+        With ``reason`` as above, ``nfev`` the number of residual
+        evaluations, and the Jacobian, residual and ``x_scale`` at the
+        optimum. Its ``covariance``, (J^T J)^-1 times the reduced chi-square,
+        is computed from those on first read and cached.
     """
     p = np.asarray(init, dtype=float).copy()
     k = p.size
@@ -178,9 +189,9 @@ def levmar(
         hi = np.full(k, np.inf)
     else:
         lo, hi = (np.asarray(b, dtype=float).copy() for b in bounds)
-    if np.any(lo > hi):
+    if (lo > hi).any():
         raise ValueError("lower bound exceeds upper bound")
-    if np.any(p < lo) or np.any(p > hi):
+    if (p < lo).any() or (p > hi).any():
         raise ValueError("init lies outside the bounds")
     if x_scale is None:
         scale = np.where(np.abs(p) > 0.0, np.abs(p), 1.0)
@@ -190,7 +201,7 @@ def levmar(
 
     def evaluate(q, last_p, last_r):
         r = np.asarray(residual.evaluate(q), dtype=float)
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise ResidualError(
                 "residual became non-finite during iteration",
                 last_params=None if last_p is None else last_p.copy(),
@@ -220,10 +231,10 @@ def levmar(
         at_lo = (p - lo) <= 1e-8 * scale
         at_hi = (hi - p) <= 1e-8 * scale
         free = ~((at_lo & (g_s > 0.0)) | (at_hi & (g_s < 0.0)))
-        A_f = A_s[np.ix_(free, free)]
+        A_f = A_s if free.all() else A_s[np.ix_(free, free)]
         d = np.diag(A_f)
         # the cosine of the angle between r and each free column of J
-        if np.all(np.abs(g_s[free]) <= gtol * math.sqrt(2.0 * cost) * np.sqrt(d)):
+        if (np.abs(g_s[free]) <= gtol * math.sqrt(2.0 * cost) * np.sqrt(d)).all():
             reason = "gtol"
             break
 
@@ -242,7 +253,7 @@ def levmar(
         dp = du * scale
         p_new = np.clip(p + dp, lo, hi)
         step = p_new - p
-        if not np.any(step):
+        if not step.any():
             # damping has already shrunk the step below float resolution;
             # raising it further cannot reopen a direction
             reason = "xtol"
@@ -281,22 +292,16 @@ def levmar(
         # failure. No cap on lam short of overflow: every tenfold raise
         # shrinks the trial step tenfold, so this exit comes in a bounded
         # number of rejections.
-        if np.max(np.abs(step_s)) < xtol:
+        if np.abs(step_s).max() < xtol:
             reason = "xtol"
             break
         if lam > 1e32:
             reason = "damping"
             break
 
-    dof = max(m - k, 1)
-    chi2_red = 2.0 * cost / dof
-    cov_u = np.linalg.pinv(A_s, hermitian=True)
-    cov = cov_u * scale2 * chi2_red
-    cov = 0.5 * (cov + cov.T)
     bounds_active = ((p - lo) <= 1e-8 * scale) | ((hi - p) <= 1e-8 * scale)
     return FitResult(
         params=p,
-        covariance=cov,
         residual_norm=math.sqrt(2.0 * cost),
         iterations=iterations,
         converged=reason not in ("max_iter", "damping"),
@@ -305,6 +310,7 @@ def levmar(
         residual=r,
         reason=reason,
         nfev=nfev,
+        x_scale=scale,
     )
 
 

@@ -116,10 +116,9 @@ def wl_perp_shape(B, l_phi: float, l_mfp: float):
     out = np.zeros_like(work)
     nz = work > 0.0
     if nz.any():
-        bnz = work[nz]
-        out[nz] = (
-            digamma(0.5 + b_phi / bnz) - digamma(0.5 + b_l / bnz) + log_sat
-        )
+        # psi(1/2 + B_phi/B) and psi(1/2 + B_l/B) from one lift of the stacked rows
+        psi = digamma(0.5 + np.array([[b_phi], [b_l]]) / work[nz])
+        out[nz] = psi[0] - psi[1] + log_sat
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 

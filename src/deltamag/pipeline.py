@@ -320,16 +320,17 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: Sa
         raise MissingDataError("need WL fits at 3 or more temperatures")
     # measured Delta sigma(B) per sweep, baseline removed per sweep
     squares = ds.config.geometry.squares
-    curves = [
-        OrientedCurve(
-            T_bath=s.T_bath,
-            theta_deg=s.theta_deg,
-            B=s.B,
-            delta_sigma=squares / s.R_xx - _checked(s0),
-        )
-        for s, s0 in zip(ds.sweeps, sigma0)
-        if round(s.T_bath, 9) in fits and len(s.B) >= 3
-    ]
+    curves = []
+    for s, s0 in zip(ds.sweeps, sigma0):
+        if round(s.T_bath, 9) not in fits or len(s.B) < 3:
+            continue
+        with np.errstate(divide="ignore"):
+            delta_sigma = squares / s.R_xx - _checked(s0)
+        bad = ~np.isfinite(delta_sigma)
+        if bad.any():  # the WL stage checks only the points inside its fit window
+            where = f"T_bath = {s.T_bath:g} K, theta = {s.theta_deg:g} deg, B = {s.B[bad][0]:g} T"
+            raise ValueError(f"non-finite conductivity at {where} (R_xx = 0?)")
+        curves.append(OrientedCurve(s.T_bath, s.theta_deg, s.B, delta_sigma))
     aa = isolate_aa(curves, fits, phys.l_mfp)
 
     result = collapse_teff(aa, g_factor=ds.config.g_factor)

@@ -2,9 +2,11 @@
 
 The weak-localization lineshape needs psi(1/2 + x) for x from ~1e-9 up to
 ~1e8, and its Jacobian the trigamma psi1 at the same points, so both must
-be accurate over a wide range and cheap to evaluate on arrays. The Zeeman
-crossover function evaluates psi, psi1 and psi2 at complex z = 1 + ic, all
-three from one lift (``polygammas``).
+be accurate over a wide range and cheap to evaluate on arrays. Each works
+element by element on any shape, and on one sweep's ~100 points a call costs
+mostly fixed overhead, so the lineshape lifts its two arguments as one
+(2, m) array. The Zeeman crossover function evaluates psi, psi1 and psi2 at
+complex z = 1 + ic, all three from one lift (``polygammas``).
 Every argument (real x > 0, or a complex array with Re z > 0) is lifted
 by ten steps of the recurrences
 
@@ -46,9 +48,10 @@ def _lift(x, name):
         arr, re = x, x.real
     else:
         arr = re = np.asarray(x, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(re <= 0.0)):
+    # nan fails the comparison; isfinite catches inf and a non-finite imaginary part
+    if arr.size and not (re.min() > 0.0 and np.isfinite(arr).all()):
         raise ValueError(f"{name} requires finite x > 0, or Re x > 0 if complex")
-    steps = np.atleast_1d(arr).reshape(-1, 1) + _LIFT
+    steps = arr.reshape(-1, 1) + _LIFT
     return arr, steps, steps[:, -1] + 1.0
 
 

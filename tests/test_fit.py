@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -200,6 +201,48 @@ def test_levmar_covariance_matches_linear_theory():
     assert res.covariance[1, 1] == pytest.approx(ref.cov[0, 0], rel=1e-6)
 
 
+def eager_covariance(res, x_scale):
+    """The covariance as levmar once built it before returning."""
+    J, r = res.jacobian, res.residual
+    m, k = J.shape
+    scale2 = np.outer(x_scale, x_scale)
+    chi2_red = 2.0 * (0.5 * float(r @ r)) / max(m - k, 1)
+    cov = np.linalg.pinv((J.T @ J) * scale2, hermitian=True) * scale2 * chi2_red
+    return 0.5 * (cov + cov.T)
+
+
+def linear_problem():
+    rng = np.random.default_rng(42)
+    x = np.linspace(0.0, 5.0, 40)
+    y = 2.0 + 3.0 * x + 0.3 * rng.standard_normal(x.size)
+    design = np.column_stack([np.ones_like(x), x])
+    return Residual(lambda p: (p[0] + p[1] * x) - y, lambda p: design)
+
+
+@pytest.mark.parametrize("problem", ["rosenbrock", "rosenbrock-bounded", "linear", "wl"])
+def test_levmar_covariance_is_bitwise_the_eager_formula(problem):
+    if problem == "wl":
+        B = np.linspace(-2.0, 2.0, 100)
+        rng = np.random.default_rng(11)
+        y = difference_curve(L07, B) * (1.0 + 0.01 * rng.standard_normal(B.size))
+        res = fit_wl_difference(B, y, L07.si("l_mfp"), L07.si("n_2d")).fit
+        x_scale = res.x_scale
+        assert x_scale[1] == 1e-4
+    else:
+        init = {"linear": np.array([0.5, 0.0])}.get(problem, np.array([-1.2, 1.0]))
+        bounds = (np.array([-np.inf, -np.inf]), np.array([0.5, np.inf]))
+        res = levmar(
+            linear_problem() if problem == "linear" else ROSENBROCK,
+            init,
+            bounds if problem == "rosenbrock-bounded" else None,
+        )
+        x_scale = np.where(init != 0.0, np.abs(init), 1.0)
+        np.testing.assert_array_equal(res.x_scale, x_scale)
+    assert "covariance" not in vars(res)  # not built until read
+    np.testing.assert_array_equal(res.covariance, eager_covariance(res, x_scale))
+    assert res.covariance is res.covariance
+
+
 def test_levmar_scaled_parameters():
     # parameters five orders apart; x_scale keeps the normal matrix sane
     t = np.linspace(0.0, 5e-6, 30)
@@ -391,3 +434,28 @@ def test_power_law_validation():
         fit_coherence_power_law(np.array([0.3, -0.5, 1.0]), np.full(3, 1e-9))
     with pytest.raises(ValueError, match="positive"):
         fit_coherence_power_law(np.array([0.3, 0.5, 1.0]), np.array([1e-9, 0.0, 1e-9]))
+
+
+# ------------------------------------------------------------ pinned WL path
+
+WL_REFERENCE_FITS_SHA256 = "3b8fe057cb81ae6a463d8fff35338d0718883de7bfe44861646d2a558d005905"
+
+
+def test_wl_fits_of_the_reference_layers_are_pinned():
+    """The ten reference layers at 1% noise, fitted, hash to a fixed digest.
+
+    The digest covers every fit output at full precision, so a change that
+    claims to leave the WL path's results alone is checked bit for bit. A
+    change that alters them must update the digest and say why.
+    """
+    B = np.linspace(-2.0, 2.0, 100)
+    digest = hashlib.sha256()
+    for row, rec in enumerate(REFERENCE_LAYERS):
+        rng = np.random.default_rng((2024, row))
+        y = difference_curve(rec, B) * (1.0 + 0.01 * rng.standard_normal(B.size))
+        f = fit_wl_difference(B, y, rec.si("l_mfp"), rec.si("n_2d"))
+        assert f.fit.converged
+        for a in (f.fit.params, f.covariance, f.fit.covariance, np.array(f.delta)):
+            digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        digest.update(f"{f.fit.residual_norm.hex()} {f.fit.iterations} {f.fit.nfev} {f.fit.reason};".encode())
+    assert digest.hexdigest() == WL_REFERENCE_FITS_SHA256

@@ -24,6 +24,7 @@ from deltamag import (
 )
 from deltamag.constants import G0
 from deltamag.models import g2_with_log_slope
+from deltamag.special import digamma
 
 # row-1 layer scale: l_phi = 86 nm, l = 11.7 nm
 P1 = WlParams(l_phi=86e-9, l_mfp=11.7e-9)
@@ -68,6 +69,34 @@ def test_wl_perp_shape_wiring():
     np.testing.assert_allclose(
         wl_perp(B, P1), (G0 / math.pi) * wl_perp_shape(B, 86e-9, 11.7e-9), rtol=0, atol=0
     )
+
+
+def two_call_shape(B, l_phi, l_mfp):
+    """The lineshape as two separate digamma lifts, one per characteristic field."""
+    out = np.zeros_like(B)
+    nz = B > 0.0
+    out[nz] = (
+        digamma(0.5 + phase_breaking_field(l_phi) / B[nz])
+        - digamma(0.5 + elastic_field(l_mfp) / B[nz])
+        + math.log(2.0 * l_phi**2 / l_mfp**2)
+    )
+    return out
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        np.linspace(-2.0, 2.0, 101),  # contains B = 0
+        np.linspace(0.3, 2.9, 57),  # inside one decade
+        np.geomspace(1e-6, 1e2, 801),
+    ],
+    ids=["with-zero", "one-decade", "1e-6-to-1e2"],
+)
+def test_wl_perp_shape_is_bitwise_the_two_call_lineshape(B):
+    B = np.abs(B)
+    for l_phi, l_mfp in [(86e-9, 11.7e-9), (2.5e-6, 3e-9), (12e-9, 11.9e-9)]:
+        np.testing.assert_array_equal(wl_perp_shape(B, l_phi, l_mfp), two_call_shape(B, l_phi, l_mfp))
+    assert wl_perp_shape(float(B[1]), 86e-9, 11.7e-9) == two_call_shape(B[1:2], 86e-9, 11.7e-9)[0]
 
 
 def test_wl_perp_monotone_and_saturating():

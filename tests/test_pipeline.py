@@ -527,6 +527,22 @@ def test_zero_resistance_skips_only_its_temperature(tmp_path):
     assert [t["T_bath_K"] for t in col["temperatures"]] == [0.4, 1.0, 1.5]
 
 
+def test_zero_resistance_outside_the_window_is_a_collapse_error(tmp_path, recwarn):
+    # the 0.7 K fit converges on |B| <= 1.5 T; its in-plane sweep still
+    # carries an R_xx of 0 at 1.8 T, which only the collapse reads
+    _, path, _ = build_dataset(tmp_path, synth_dict(num=41))
+    zero_resistance(path, "S1,0.7,90,1.8,")
+    report = run_analysis(load_datasets([path], AnalysisConfig(fit_window=(0.0, 1.5)))[0])
+    assert report.stages["wl"]["status"] == "ok"
+    assert report.stages["wl"]["skipped"] == []
+    assert report.stages["powerlaw"]["status"] == "ok"
+    assert report.stages["collapse"] == {
+        "status": "error",
+        "message": "non-finite conductivity at T_bath = 0.7 K, theta = 90 deg, B = 1.8 T (R_xx = 0?)",
+    }
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_every_temperature_non_finite_skips_the_wl_stage(tmp_path):
     d = synth_dict(temps=(0.4,), num=41)
     _, path, _ = build_dataset(tmp_path, d)

@@ -72,14 +72,23 @@ def test_scalar_and_array_shapes():
 
 def test_rejects_nonpositive_and_nonfinite():
     for fun in (digamma, trigamma, polygammas):
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        for bad in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, np.array(-1.0)):
             with pytest.raises(ValueError, match="finite x > 0"):
                 fun(bad)
         with pytest.raises(ValueError):
             fun(np.array([1.0, -2.0]))
-        for bad in np.array([-0.5 + 1.0j, 1.0j, complex(1.0, math.inf)]):
+        for bad in np.array(
+            [-0.5 + 1.0j, 1.0j, complex(1.0, math.inf), complex(math.nan, 1.0), complex(1.0, math.nan)]
+        ):
             with pytest.raises(ValueError, match="Re x > 0 if complex"):
                 fun(np.array(bad))
+        with pytest.raises(ValueError, match="Re x > 0 if complex"):
+            fun(np.array([1.0 + 1.0j, complex(math.nan, 0.0)]))
+    # a 0-d argument is a scalar, an empty one an empty result
+    assert digamma(np.array(2.0)) == digamma(2.0) and isinstance(digamma(np.array(2.0)), float)
+    for fun in (digamma, trigamma):
+        assert fun(np.empty((0, 3))).shape == (0, 3)
+    assert [a.shape for a in polygammas(np.empty(0, dtype=complex))] == [(0,)] * 3
 
 
 @given(st.floats(min_value=1e-2, max_value=1e3))
