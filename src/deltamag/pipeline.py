@@ -129,18 +129,25 @@ def load_datasets(paths: Sequence, config: AnalysisConfig) -> List[Dataset]:
 
 
 def _sigma0_quadratic(B, R_xx, squares: float) -> float:
-    """Zero-field conductivity from the three lowest-|B| points (Lagrange)."""
+    """Zero-field conductivity from the three lowest-|B| distinct fields
+    (Lagrange); a field read more than once gives its mean conductivity."""
     B = np.asarray(B, dtype=float)
     if B.size < 3:
         raise ValueError("need at least 3 points to extrapolate sigma0")
-    idx = np.argsort(np.abs(B), kind="stable")[:3]
-    b = B[idx]
-    if len(set(b.tolist())) < 3:
+    order = np.argsort(np.abs(B), kind="stable")
+    with np.errstate(divide="ignore", over="ignore"):
+        s_all = squares / np.asarray(R_xx, dtype=float)[order]
+    near: dict = {}  # field -> conductivities of its readings, by ascending |B|
+    for b, s in zip(B[order].tolist(), s_all.tolist()):
+        if b in near or len(near) < 3:
+            near.setdefault(b, []).append(s)
+        elif abs(b) > abs([*near][2]):
+            break
+    if len(near) < 3:
         raise ValueError("degenerate field values near B = 0")
-    with np.errstate(divide="ignore"):
-        s = squares / np.asarray(R_xx, dtype=float)[idx]
-    if not np.all(np.isfinite(s) & (s > 0.0)):
+    if not all(math.isfinite(v) and v > 0.0 for vs in near.values() for v in vs):
         raise ValueError("non-finite or non-positive conductivity near B = 0 (R_xx = 0?)")
+    b, s = [*near], [sum(vs) / len(vs) for vs in near.values()]
     total = 0.0
     for i in range(3):
         li = 1.0
@@ -148,7 +155,7 @@ def _sigma0_quadratic(B, R_xx, squares: float) -> float:
             if j != i:
                 li *= (0.0 - b[j]) / (b[i] - b[j])
         total += s[i] * li
-    return float(total)
+    return total
 
 
 def _sigma0_per_sweep(ds: Dataset) -> list:

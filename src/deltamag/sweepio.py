@@ -57,13 +57,14 @@ class SweepRecord:
 
 
 def parse_sweep_csv(path) -> list:
-    """Parse a sweep CSV into SweepRecord objects.
+    """Parse a sweep CSV into SweepRecord objects, one column at a time.
 
     The header must match the sweep format exactly; the error names the
-    first offending column. Cell errors, nan and inf included, carry the
-    file row number. Within a sweep, B must be strictly monotone;
-    violations are re-sorted ascending with a warning. R_xy cells may all
-    be empty (no Hall data) but a sweep cannot mix empty and filled.
+    first offending column. Of the bad rows and cells (nan and inf
+    included) the error names the first in file order, with its row
+    number. Within a sweep, B must be strictly monotone; violations are
+    re-sorted ascending with a warning that names a repeated field. R_xy
+    cells may all be empty (no Hall data) but a sweep cannot mix the two.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -91,75 +92,78 @@ def parse_sweep_csv(path) -> list:
             f"{path}: malformed header: unexpected extra column {header[len(SWEEP_COLUMNS)]!r}"
         )
 
-    groups: dict = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(SWEEP_COLUMNS):
-            raise ValueError(
-                f"{path}: row {line_no}: expected {len(SWEEP_COLUMNS)} fields, got {len(row)}"
-            )
-        sample_id = row[0].strip()
-        if not sample_id:
-            raise ValueError(f"{path}: row {line_no}: empty sample_id")
-
-        def num(idx, name, line_no=line_no, row=row):
-            cell = row[idx].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                value = None
-            if value is None or not math.isfinite(value):
-                kind = "non-numeric" if value is None else "non-finite"
-                raise ValueError(f"{path}: row {line_no}: {kind} value {cell!r} in column {name}")
-            return value
-
-        T_bath = num(1, "T_bath_K")
-        theta = num(2, "theta_deg")
-        B = num(3, "B_T")
-        R_xx = num(4, "R_xx_ohm")
-        R_xy = None if row[5].strip() == "" else num(5, "R_xy_ohm")
-        current = num(6, "I_A")
-        key = (sample_id, T_bath, theta)
-        groups.setdefault(key, []).append((line_no, B, R_xx, R_xy, current))
-
-    if not groups:
+    # indices of the data rows: not the header, an empty or a blank line
+    keep = [i for i, row in enumerate(rows) if i and (len(row) > 1 or row and row[0].strip())]
+    if not keep:
         raise ValueError(f"{path}: no data rows")
+    body = [rows[i] for i in keep]
+    try:
+        ids, num, filled, xy = _columns(body)
+    except ValueError:  # re-scan in file order for the first bad field
+        for i in keep:
+            _check_row(path, i + 1, rows[i])
+        # every cell reads once stripped: float() strips less than str.strip()
+        ids, num, filled, xy = _columns([[c.strip() for c in row] for row in body])
 
+    # a sweep is the runs of rows that share one (sample_id, T_bath, theta) key
+    cut = (num[:2, 1:] != num[:2, :-1]).any(axis=0) | (ids[1:] != ids[:-1])
+    starts = [0, *(np.flatnonzero(cut) + 1).tolist(), len(body)]
+    runs: dict = {}
+    for a, b in zip(starts, starts[1:]):
+        runs.setdefault((ids[a], float(num[0, a]), float(num[1, a])), []).append(slice(a, b))
     records = []
-    for (sample_id, T_bath, theta), pts in groups.items():
-        have_xy = [p[3] is not None for p in pts]
-        if any(have_xy) and not all(have_xy):
-            bad = next(p[0] for p, h in zip(pts, have_xy) if not h)
-            raise ValueError(
-                f"{path}: row {bad}: R_xy missing in a sweep that has R_xy elsewhere"
-            )
-        B = np.array([p[1] for p in pts])
-        R_xx = np.array([p[2] for p in pts])
-        R_xy = np.array([p[3] for p in pts]) if all(have_xy) and pts else None
-        dB = np.diff(B)
-        if len(dB) and not (np.all(dB > 0.0) or np.all(dB < 0.0)):
+    for (sample_id, T_bath, theta), parts in runs.items():
+        idx = parts[0] if len(parts) == 1 else np.r_[tuple(parts)]
+        has_xy = filled[idx]
+        if has_xy.any() and not has_xy.all():
+            bad = keep[np.r_[idx][~has_xy][0]] + 1
+            raise ValueError(f"{path}: row {bad}: R_xy missing in a sweep that has R_xy elsewhere")
+        current = float(num[4, idx][0])
+        dB = np.diff(num[2, idx])
+        if len(dB) and not ((dB > 0.0).all() or (dB < 0.0).all()):
+            idx = np.r_[idx][np.argsort(num[2, idx], kind="stable")]
+            B = num[2, idx]
+            repeated = B[:-1][B[1:] == B[:-1]]
             warnings.warn(
                 f"{path}: sweep ({sample_id}, {T_bath} K, {theta} deg): "
                 "B not strictly monotone; re-sorted ascending"
+                + (f"; B = {FLOAT_FMT % repeated[0]} T is read more than once" if repeated.size else "")
             )
-            order = np.argsort(B, kind="stable")
-            B = B[order]
-            R_xx = R_xx[order]
-            if R_xy is not None:
-                R_xy = R_xy[order]
-        records.append(
-            SweepRecord(
-                sample_id=sample_id,
-                T_bath=T_bath,
-                theta_deg=theta,
-                B=B,
-                R_xx=R_xx,
-                R_xy=R_xy,
-                current=pts[0][4],
-            )
-        )
+        R_xy = xy[idx] if has_xy.all() else None
+        records.append(SweepRecord(sample_id, T_bath, theta, num[2, idx], num[3, idx], R_xy, current))
     return records
+
+
+def _columns(body):
+    """Sample ids, the (T_bath, theta, B, R_xx, I) array, the filled-R_xy
+    mask and R_xy of the data rows. A bad field raises ValueError."""
+    if set(map(len, body)) != {len(SWEEP_COLUMNS)}:
+        raise ValueError("field count")
+    ids, T_bath, theta, B, R_xx, R_xy, current = zip(*body)
+    ids = np.array([s.strip() for s in ids], dtype=object)
+    filled = np.array([bool(c.strip()) for c in R_xy])
+    num = np.array([T_bath, theta, B, R_xx, current], dtype=float)
+    xy = np.zeros(len(body))
+    xy[filled] = np.array(R_xy, dtype=object)[filled].astype(float)
+    if not (all(ids) and np.isfinite(num).all() and np.isfinite(xy).all()):
+        raise ValueError("empty sample_id or non-finite value")
+    return ids, num, filled, xy
+
+
+def _check_row(path, line_no, row) -> None:
+    """Raise the error of a data row's first bad field, if it has one."""
+    if len(row) != len(SWEEP_COLUMNS):
+        raise ValueError(f"{path}: row {line_no}: expected {len(SWEEP_COLUMNS)} fields, got {len(row)}")
+    if not row[0].strip():
+        raise ValueError(f"{path}: row {line_no}: empty sample_id")
+    for cell, name in zip(row[1:], SWEEP_COLUMNS[1:]):
+        cell = cell.strip()
+        try:
+            kind = None if math.isfinite(float(cell)) else "non-finite"
+        except ValueError:
+            kind = None if name == "R_xy_ohm" and not cell else "non-numeric"
+        if kind:
+            raise ValueError(f"{path}: row {line_no}: {kind} value {cell!r} in column {name}")
 
 
 def write_sweep_csv(path, records: Sequence[SweepRecord]) -> None:

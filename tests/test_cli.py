@@ -313,3 +313,33 @@ def test_collapse_says_when_t_eff_is_not_determined(tmp_path, capsys):
     assert row["at_bound"] is True
     assert row["T_eff_K"] == pytest.approx(30.0 * 1.2)
     assert row["h_max"] < 0.2
+
+
+def test_hall_reads_a_sweep_that_repeats_its_zero_field(tmp_path, capsys):
+    """Each sweep of a 2 T x 2 x 41-point file ends with its B = 0 row again.
+
+    The parser re-sorts it and names the repeated field; sigma0 averages the
+    two identical readings, so sigma_xx and n_2d are those of the file
+    without the repeat.
+    """
+    cfg = config_dict(noise=0.01, seed=3)
+    cfg["sweep_plan"] = [e for e in cfg["sweep_plan"] if e["T_bath_K"] in (0.4, 1.2)]
+    plain = tmp_path / "plain.csv"
+    write_sweep_csv(plain, generate_dataset(SynthConfig.from_dict(cfg)))
+    header, *rows = plain.read_text().splitlines()
+    repeated = [header]
+    for k in range(0, len(rows), 41):
+        sweep = rows[k:k + 41]
+        repeated += sweep + [sweep[20]]
+    assert all(row.split(",")[3] == "0" for row in repeated[42::42])
+    again = tmp_path / "repeated.csv"
+    again.write_text("\n".join(repeated) + "\n")
+
+    _, want = run_json(capsys, ["hall", str(plain)])
+    with pytest.warns(UserWarning, match="re-sorted ascending; B = 0 T is read more than once") as caught:
+        code, got = run_json(capsys, ["hall", str(again)])
+    assert code == 0 and len(caught) == 4
+    assert got["hall"]["status"] == "ok"
+    assert got["hall"]["n_points"] == want["hall"]["n_points"] + 1
+    for key in ("sigma_xx_S", "n_2d_m2"):
+        assert got["hall"][key]["value"] == want["hall"][key]["value"]

@@ -554,6 +554,54 @@ def test_every_temperature_non_finite_skips_the_wl_stage(tmp_path):
     }
 
 
+def numpy_scalar_sigma0(B, R_xx, squares):
+    """The three-point Lagrange sum as it was written on numpy scalars."""
+    B = np.asarray(B, dtype=float)
+    idx = np.argsort(np.abs(B), kind="stable")[:3]
+    b = B[idx]
+    s = squares / np.asarray(R_xx, dtype=float)[idx]
+    total = 0.0
+    for i in range(3):
+        li = 1.0
+        for j in range(3):
+            if j != i:
+                li *= (0.0 - b[j]) / (b[i] - b[j])
+        total += s[i] * li
+    return float(total)
+
+
+@given(
+    st.integers(3, 82),
+    st.sampled_from([(-2.0, 2.0), (2.0, -2.0), (-0.5, 1.5), (0.3, 2.0), (-2.0, -0.1)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sigma0_is_bitwise_the_numpy_scalar_sum(num, span, seed):
+    # ascending and descending grids, odd and even counts: with an even count
+    # a symmetric grid has no zero and +B and -B tie on |B|
+    B = np.linspace(*span, num)
+    R_xx = 1.0e4 * (1.0 + 0.01 * np.random.default_rng(seed).standard_normal(num))
+    got = pipeline._sigma0_quadratic(B, R_xx, 3.0)
+    assert type(got) is float
+    assert got.hex() == numpy_scalar_sigma0(B, R_xx, 3.0).hex()
+
+
+def test_sigma0_averages_repeated_fields():
+    B = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
+    R_xx = np.array([1.0, 2.0, 4.0, 2.5, 1.25])
+    once = pipeline._sigma0_quadratic(B, R_xx, 8.0)
+    # B = 0 read again with the same R_xx: the same bits
+    assert pipeline._sigma0_quadratic(np.append(B, 0.0), np.append(R_xx, 4.0), 8.0) == once
+    # read again with another R_xx: the mean conductivity, (2 + 4) / 2 = 3 S at B = 0
+    again = pipeline._sigma0_quadratic(np.append(B, 0.0), np.append(R_xx, 8.0 / 4.0), 8.0)
+    assert again == pytest.approx(once + 1.0, rel=1e-15)
+    # a repeat of the third field is found past a field that ties it on |B|
+    B3 = np.array([0.1, 0.2, 0.3, -0.3, 0.3])
+    R3 = np.array([4.0, 2.0, 1.0, 3.0, 0.5])
+    assert pipeline._sigma0_quadratic(B3, R3, 8.0) == pytest.approx(
+        pipeline._sigma0_quadratic(B3[:3], np.array([4.0, 2.0, 8.0 / 12.0]), 8.0), rel=1e-15
+    )
+
+
 def test_sigma0_quadratic():
     B = np.linspace(-0.5, 0.5, 11)
     sigma = 2.0e-4 - 3.0e-5 * B + 4.0e-5 * B * B

@@ -1,11 +1,23 @@
+import csv
+import hashlib
+import io
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from deltamag import SweepRecord, parse_sweep_csv, write_plot_csv, write_sweep_csv
-from deltamag.sweepio import FLOAT_FMT, SWEEP_HEADER
+from deltamag import (
+    SweepRecord,
+    SynthConfig,
+    generate_dataset,
+    parse_sweep_csv,
+    write_plot_csv,
+    write_sweep_csv,
+)
+from deltamag.sweepio import FLOAT_FMT, SWEEP_COLUMNS, SWEEP_HEADER
 
 
 def sample_records():
@@ -199,3 +211,243 @@ def test_any_text_gives_records_or_value_error(tmp_path_factory, header, body):
     except ValueError:
         return
     assert records and all(np.all(np.isfinite(r.R_xx)) for r in records)
+
+
+# ------------------------------------------------- row-by-row reference parser
+
+
+def row_by_row_parse(path) -> list:
+    """The row-by-row parser that the columnar ``parse_sweep_csv`` replaced.
+
+    Kept as an oracle: both must give bitwise-equal records and the same
+    warnings, or the same ValueError message. The only edit is the warning
+    for a sweep that reads one field more than once, which now names that
+    field.
+    """
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    if not text.strip():
+        raise ValueError(f"{path}: empty file")
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: unreadable CSV: {exc}") from None
+    header = rows[0]
+    if header and header[0].lstrip().startswith("#"):
+        raise ValueError(
+            f"{path}: starts with a '#' marker line; this is an emitted "
+            "plot-data file, not measurement input"
+        )
+    for i, want in enumerate(SWEEP_COLUMNS):
+        got = header[i].strip() if i < len(header) else None
+        if got != want:
+            raise ValueError(
+                f"{path}: malformed header: expected column {i + 1} to be "
+                f"{want!r}, got {got!r}"
+            )
+    if len(header) > len(SWEEP_COLUMNS):
+        raise ValueError(
+            f"{path}: malformed header: unexpected extra column {header[len(SWEEP_COLUMNS)]!r}"
+        )
+
+    groups: dict = {}
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(SWEEP_COLUMNS):
+            raise ValueError(
+                f"{path}: row {line_no}: expected {len(SWEEP_COLUMNS)} fields, got {len(row)}"
+            )
+        sample_id = row[0].strip()
+        if not sample_id:
+            raise ValueError(f"{path}: row {line_no}: empty sample_id")
+
+        def num(idx, name, line_no=line_no, row=row):
+            cell = row[idx].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
+                raise ValueError(f"{path}: row {line_no}: {kind} value {cell!r} in column {name}")
+            return value
+
+        T_bath = num(1, "T_bath_K")
+        theta = num(2, "theta_deg")
+        B = num(3, "B_T")
+        R_xx = num(4, "R_xx_ohm")
+        R_xy = None if row[5].strip() == "" else num(5, "R_xy_ohm")
+        current = num(6, "I_A")
+        key = (sample_id, T_bath, theta)
+        groups.setdefault(key, []).append((line_no, B, R_xx, R_xy, current))
+
+    if not groups:
+        raise ValueError(f"{path}: no data rows")
+
+    records = []
+    for (sample_id, T_bath, theta), pts in groups.items():
+        have_xy = [p[3] is not None for p in pts]
+        if any(have_xy) and not all(have_xy):
+            bad = next(p[0] for p, h in zip(pts, have_xy) if not h)
+            raise ValueError(
+                f"{path}: row {bad}: R_xy missing in a sweep that has R_xy elsewhere"
+            )
+        B = np.array([p[1] for p in pts])
+        R_xx = np.array([p[2] for p in pts])
+        R_xy = np.array([p[3] for p in pts]) if all(have_xy) and pts else None
+        dB = np.diff(B)
+        if len(dB) and not (np.all(dB > 0.0) or np.all(dB < 0.0)):
+            ascending = B[np.argsort(B, kind="stable")].tolist()
+            repeated = [a for a, b in zip(ascending, ascending[1:]) if a == b]
+            warnings.warn(
+                f"{path}: sweep ({sample_id}, {T_bath} K, {theta} deg): "
+                "B not strictly monotone; re-sorted ascending"
+                + (f"; B = {FLOAT_FMT % repeated[0]} T is read more than once" if repeated else "")
+            )
+            order = np.argsort(B, kind="stable")
+            B = B[order]
+            R_xx = R_xx[order]
+            if R_xy is not None:
+                R_xy = R_xy[order]
+        records.append(
+            SweepRecord(
+                sample_id=sample_id,
+                T_bath=T_bath,
+                theta_deg=theta,
+                B=B,
+                R_xx=R_xx,
+                R_xy=R_xy,
+                current=pts[0][4],
+            )
+        )
+    return records
+
+
+def record_bits(rec):
+    """Every field of a record, floats and arrays as exact bytes and types."""
+    arrays = [rec.B, rec.R_xx] + ([] if rec.R_xy is None else [rec.R_xy])
+    return (
+        rec.sample_id,
+        [type(v).__name__ + v.hex() for v in (rec.T_bath, rec.theta_deg, rec.current)],
+        [(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+        rec.R_xy is None,
+    )
+
+
+def outcome(parse, path):
+    """What ``parse`` makes of ``path``: (record bits or error message, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [record_bits(r) for r in parse(path)]
+        except ValueError as exc:
+            result = f"ValueError: {exc}"
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# cells that float() reads after str.strip(), and cells that it rejects
+ODD_NUMBERS = ["1_0", " 2.5 ", "\t-3\t", "１２", "\x1c4", "5\x1f", "+.5", "1e400", "-0", "1e-400"]
+BAD_CELLS = ["nan", "-inf", "Infinity", "oops", "1,5", "0x10", "1__0", "\x00", "1 2", "-1"]
+
+
+@st.composite
+def sweep_files(draw):
+    """Sweep CSV text with interleaved, repeated and malformed rows."""
+    keys = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["S1", " S1 ", "S2"]),
+                st.sampled_from(["0.3", "0.30", " 0.3", "1.2"]),
+                st.sampled_from(["0", "-0", "0.0", "90"]),
+                st.booleans(),  # has R_xy
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    numbers = st.sampled_from(["0", "0.1", "-0.1", "0.25", "1", "-2", "1e-9", "1000", "1000.5"])
+    lines = [SWEEP_HEADER]
+    for _ in range(draw(st.integers(1, 14))):
+        sid, T, theta, has_xy = draw(st.sampled_from(keys))
+        xy = draw(numbers) if has_xy else draw(st.sampled_from(["", "  "]))
+        if draw(st.integers(0, 19)) == 0:  # a partial R_xy column
+            xy = draw(st.sampled_from(["", "7"]))
+        row = [sid, T, theta, draw(numbers), draw(numbers), xy, draw(numbers)]
+        if draw(st.integers(0, 3)) == 0:
+            row[draw(st.integers(1, 6))] = draw(st.sampled_from(ODD_NUMBERS))
+        if draw(st.integers(0, 24)) == 0:
+            row[draw(st.integers(1, 6))] = draw(st.sampled_from(BAD_CELLS))
+        if draw(st.integers(0, 29)) == 0:
+            row[0] = draw(st.sampled_from(["", "  "]))
+        if draw(st.integers(0, 29)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["x"]
+        if draw(st.integers(0, 5)) == 0:  # a quoted cell
+            i = draw(st.integers(0, len(row) - 1))
+            row[i] = '"' + row[i] + '"'
+        lines.append(",".join(row))
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", ","])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_files())
+@example(SWEEP_HEADER + "\nS1,0.3,0,0,1,2,1\nS1,0.3,0,0.1,oops,2,1\nS1,0.3,0,0.2,1,2\n")
+@example(SWEEP_HEADER + "\nS1,0.3,0,0.1,1,,1\n\nS2,0.3,0,0,1,,1\nS1,0.3,0,0,1,3,1\n")
+@example(SWEEP_HEADER + "\r\nS1,0.3,0,1,1,\x1c4,1\r\nS1,0.3,-0,0,1,5,1\r\n")
+def test_columnar_parser_matches_row_by_row(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(parse_sweep_csv, path) == outcome(row_by_row_parse, path)
+
+
+def test_repeated_field_is_named_in_the_warning(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text(SWEEP_HEADER + "\nS1,0.3,0,0,1000,,1\nS1,0.3,0,1,1010,,1\nS1,0.3,0,0,1001,,1\n")
+    with pytest.warns(UserWarning, match="re-sorted ascending; B = 0 T is read more than once"):
+        (rec,) = parse_sweep_csv(path)
+    np.testing.assert_array_equal(rec.B, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(rec.R_xx, [1000.0, 1001.0, 1010.0])
+
+
+# ------------------------------------------------- parsed sweeps, pinned
+
+SWEEP_PARSE_SHA256 = "cc0a061b9495ac9ee1d81af242901bd2da84af391805ef908593213b992bcafd"
+
+
+def pinned_plan_files(tmp_path):
+    """Seeded synth files of the demo-05 plan (5 T x 2 x 81) and the Hall survey plan (3 T x 2 x 41)."""
+    plans = [("DEMO1", (0.1, 0.2, 0.4, 0.7, 1.0), 81, 0.002, 0.25, seed) for seed in (12, 13)]
+    plans += [(f"H{seed}", (0.4, 0.7, 1.2), 41, 0.01, 0.0, seed) for seed in (501, 502)]
+    for sample_id, temps, num, sigma, t_sat, seed in plans:
+        cfg = SynthConfig.from_dict(
+            {
+                "sample_id": sample_id,
+                "sample": {"n_2d_cm2": 2.14e13, "mobility_cm2_Vs": 38.9, "delta_nm": 0.42, "F": 0.5},
+                "l_phi_law": {"amplitude_nm": 35.5, "exponent": -0.31},
+                "t_sat_K": t_sat,
+                "noise": {"relative_sigma": sigma, "seed": seed},
+                "sweep_plan": [
+                    {"T_bath_K": T, "theta_deg": th, "B_T": {"start": -2.0, "stop": 2.0, "num": num}}
+                    for T in temps
+                    for th in (0.0, 90.0)
+                ],
+            }
+        )
+        path = tmp_path / f"{sample_id}_{seed}.csv"
+        write_sweep_csv(path, generate_dataset(cfg))
+        yield path
+
+
+def test_parsed_sweeps_are_pinned(tmp_path):
+    """Every parsed record field of the pinned plan files, at full precision,
+    hashes to a fixed digest. A change to parsing that alters a bit of a
+    record must update the digest and say why.
+    """
+    digest = hashlib.sha256()
+    for path in pinned_plan_files(tmp_path):
+        for rec in parse_sweep_csv(path):
+            digest.update(repr(record_bits(rec)).encode())
+    assert digest.hexdigest() == SWEEP_PARSE_SHA256
