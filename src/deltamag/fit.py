@@ -231,27 +231,31 @@ def levmar(
         at_lo = (p - lo) <= 1e-8 * scale
         at_hi = (hi - p) <= 1e-8 * scale
         free = ~((at_lo & (g_s > 0.0)) | (at_hi & (g_s < 0.0)))
-        A_f = A_s if free.all() else A_s[np.ix_(free, free)]
-        d = np.diag(A_f)
+        A_f, g_f = (A_s, g_s) if free.all() else (A_s[np.ix_(free, free)], g_s[free])
+        d = A_f.diagonal()
         # the cosine of the angle between r and each free column of J
-        if (np.abs(g_s[free]) <= gtol * math.sqrt(2.0 * cost) * np.sqrt(d)).all():
+        if (np.abs(g_f) <= gtol * math.sqrt(2.0 * cost) * np.sqrt(d)).all():
             reason = "gtol"
             break
 
         iterations += 1
-        D = np.maximum(d, 1e-32 * d.max())  # relative, so free of residual units
+        if lam:  # undamped steps, most of them, solve on A_f itself
+            D = np.maximum(d, 1e-32 * d.max())  # relative, so free of residual units
+            A_f = A_f + lam * np.diag(D)
         try:
-            du_f = np.linalg.solve(A_f + lam * np.diag(D), -g_s[free])
+            du_f = np.linalg.solve(A_f, -g_f)
         except np.linalg.LinAlgError:
             lam = 1e-3 if lam == 0.0 else 10.0 * lam
             if lam > 1e32:
                 reason = "damping"
                 break
             continue
-        du = np.zeros(k)
-        du[free] = du_f
+        du = du_f
+        if du_f.size < k:  # frozen coordinates stay put
+            du = np.zeros(k)
+            du[free] = du_f
         dp = du * scale
-        p_new = np.clip(p + dp, lo, hi)
+        p_new = np.minimum(np.maximum(p + dp, lo), hi)
         step = p_new - p
         if not step.any():
             # damping has already shrunk the step below float resolution;
@@ -264,7 +268,7 @@ def levmar(
         # an undamped full Gauss-Newton step whose own model predicts no
         # meaningful decrease means we are at the optimum up to rounding;
         # a box-clipped step says nothing of the sort
-        if lam == 0.0 and predicted <= small and np.array_equal(step, dp):
+        if lam == 0.0 and predicted <= small and (step == dp).all():
             reason = "ftol"
             break
         nfev += 1
@@ -366,15 +370,18 @@ def fit_wl_difference(B, d_sigma, l_mfp: float, n_2d: float) -> WlDifferenceFit:
         return wl_perp_shape(B, lphi, l_mfp) - np.log1p(gam * B * B) - yn
 
     nz = B > 0.0
+    B_pos = B[nz]
+    rows = nz if B_pos.size < B.size else slice(None)  # scatter only when B = 0 is on the grid
+    neg_B2 = -B * B
 
     def jacobian(p):
         lphi, gam = p
         # d/d l_phi of psi(1/2 + B_phi/B) + ln(2 l_phi^2/l^2), B_phi ~ l_phi^-2;
         # the lineshape is identically 0 at B = 0
-        x = phase_breaking_field(lphi) / B[nz]
-        J = np.zeros((B.size, 2))
-        J[nz, 0] = (2.0 - 2.0 * x * trigamma(0.5 + x)) / lphi
-        J[:, 1] = -B * B / (1.0 + gam * B * B)
+        x = phase_breaking_field(lphi) / B_pos
+        J = np.zeros((B.size, 2)) if rows is nz else np.empty((B.size, 2))
+        J[rows, 0] = (2.0 - 2.0 * x * trigamma(0.5 + x)) / lphi
+        J[:, 1] = neg_B2 / (1.0 + gam * B * B)
         return J
 
     # Low-field curvature start for l_phi: for small B the difference curve
@@ -383,8 +390,10 @@ def fit_wl_difference(B, d_sigma, l_mfp: float, n_2d: float) -> WlDifferenceFit:
     pos = np.flatnonzero(nz)
     if pos.size == 0:
         raise ValueError("all field values are zero")
-    k_small = pos[np.argsort(B[pos])][: max(3, B.size // 10)]
-    curv = float(np.median(yn[k_small] / B[k_small] ** 2))
+    k_small = pos[np.argsort(B_pos)][: max(3, B.size // 10)]
+    q = np.sort(yn[k_small] / B[k_small] ** 2)
+    h = q.size // 2  # the median, as np.median takes it
+    curv = float(q[h] if q.size % 2 else (q[h - 1] + q[h]) / 2.0)
     c = curv + 1.0 / (24.0 * b_l**2)
     if c > 0.0:
         b_phi0 = math.sqrt(1.0 / (24.0 * c))

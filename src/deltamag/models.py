@@ -105,18 +105,22 @@ def wl_perp_shape(B, l_phi: float, l_mfp: float):
     to avoid rebuilding parameter records in inner loops.
     """
     arr = np.asarray(B, dtype=float)
-    if np.any(arr < 0.0):
+    low = arr.min() if arr.size else 0.0
+    if not low >= 0.0:  # also NaN
         raise ValueError("wl_perp requires B >= 0; pass |B| for signed sweeps")
     b_phi = phase_breaking_field(l_phi)
     b_l = elastic_field(l_mfp)
     log_sat = math.log(2.0 * l_phi**2 / l_mfp**2)
+    # psi(1/2 + B_phi/B) and psi(1/2 + B_l/B) from one lift of the stacked rows
+    if arr.ndim == 1 and low > 0.0:
+        psi = digamma(0.5 + np.array([[b_phi], [b_l]]) / arr)
+        return psi[0] - psi[1] + log_sat
 
     scalar = arr.ndim == 0
     work = np.atleast_1d(arr)
     out = np.zeros_like(work)
     nz = work > 0.0
     if nz.any():
-        # psi(1/2 + B_phi/B) and psi(1/2 + B_l/B) from one lift of the stacked rows
         psi = digamma(0.5 + np.array([[b_phi], [b_l]]) / work[nz])
         out[nz] = psi[0] - psi[1] + log_sat
     return float(out[0]) if scalar else out.reshape(arr.shape)
@@ -196,7 +200,7 @@ def reduced_field(B, T: float, g_factor: float = 2.0):
     if not T > 0.0:
         raise ValueError("reduced_field requires T > 0")
     arr = np.asarray(B, dtype=float)
-    if np.any(arr < 0.0):
+    if arr.size and not arr.min() >= 0.0:  # also NaN
         raise ValueError("reduced_field requires B >= 0")
     out = g_factor * MU_B * arr / (K_B * T)
     return float(out) if arr.ndim == 0 else out

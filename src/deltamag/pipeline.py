@@ -210,19 +210,20 @@ def _hall_stage(ds: Dataset, sigma0: list) -> Tuple[dict, SamplePhysics]:
 
 
 def _difference_curve(perp: SweepRecord, inpl: SweepRecord, squares: float):
-    """Perpendicular minus in-plane conductivity on the shared field grid."""
-    key_p = {round(float(b), 9): i for i, b in enumerate(perp.B)}
-    key_i = {round(float(b), 9): i for i, b in enumerate(inpl.B)}
-    common = sorted(set(key_p) & set(key_i))
-    B = np.array(common, dtype=float)
-    with np.errstate(divide="ignore"):
-        d = np.array(
-            [
-                squares * (1.0 / perp.R_xx[key_p[b]] - 1.0 / inpl.R_xx[key_i[b]])
-                for b in common
-            ]
-        )
-    return B, d
+    """Perpendicular minus in-plane conductivity on the shared field grid; a
+    field read more than once gives the mean conductivity of its readings."""
+
+    def by_field(s: SweepRecord) -> dict:
+        readings: dict = {}
+        for b, g in zip(s.B.tolist(), (1.0 / s.R_xx).tolist()):
+            readings.setdefault(round(b, 9), []).append(g)
+        return {b: sum(gs) / len(gs) for b, gs in readings.items()}
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # R_xx = 0 is reported by the caller
+        g_p, g_i = by_field(perp), by_field(inpl)
+        common = sorted(g_p.keys() & g_i.keys())
+        d = squares * (np.array([g_p[b] for b in common]) - np.array([g_i[b] for b in common]))
+    return np.array(common, dtype=float), d
 
 
 @dataclass

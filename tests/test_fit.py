@@ -459,3 +459,75 @@ def test_wl_fits_of_the_reference_layers_are_pinned():
             digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
         digest.update(f"{f.fit.residual_norm.hex()} {f.fit.iterations} {f.fit.nfev} {f.fit.reason};".encode())
     assert digest.hexdigest() == WL_REFERENCE_FITS_SHA256
+
+
+# ------------------------------------------------------- pinned levmar paths
+
+def decay_residual():
+    def fun(p):
+        return p[0] * np.exp(-p[1] * T_DECAY) - Y_DECAY
+
+    def jac(p):
+        e = np.exp(-p[1] * T_DECAY)
+        return np.column_stack([e, -p[0] * T_DECAY * e])
+
+    return Residual(fun, jac)
+
+
+def levmar_path_problems():
+    """(name, residual, init, bounds, options) reaching every branch of ``levmar``.
+
+    Between them: undamped and damped solves, rejected steps, a singular
+    normal matrix, box-clipped steps and frozen coordinates on either bound,
+    and each stop reason, ``ftol`` and ``xtol`` at both of their tests.
+    """
+    inf = math.inf
+    x = np.linspace(0.0, 5.0, 40)
+    y = 2.0 + 3.0 * x + 0.3 * np.random.default_rng(42).standard_normal(x.size)
+    twin = np.column_stack([np.ones_like(x), np.ones_like(x), x])  # singular J'J
+    # residuals that jump on leaving the start: every trial step is rejected
+    jump0 = Residual(lambda p: np.array([1.0 if p[0] == 0.0 else 2.0]), lambda p: np.ones((1, 1)))
+    jump1 = Residual(lambda p: np.array([1.0 if p[0] == 1.0 else 2.0]), lambda p: np.ones((1, 1)))
+    # an exact Gauss-Newton step whose predicted gain is below 1e-10 of the cost
+    flat = Residual(lambda p: np.array([p[0] - 1.0, 1e6]), lambda p: np.array([[1.0], [0.0]]))
+    kink = Residual(
+        lambda p: np.array([abs(p[0] - 0.3) + 1.0, 1.0]),
+        lambda p: np.array([[np.sign(p[0] - 0.3)], [0.0]]),
+    )
+    return [
+        ("rosenbrock", ROSENBROCK, [-1.2, 1.0], None, {}),
+        ("rosenbrock-upper", ROSENBROCK, [-1.2, 1.0], ([-inf, -inf], [0.5, inf]), {}),
+        ("rosenbrock-lower", ROSENBROCK, [-1.2, 1.0], ([-inf, 1.0], [inf, inf]), {}),
+        ("rosenbrock-cap", ROSENBROCK, [-1.2, 1.0], None, {"max_iter": 3}),
+        ("decay", decay_residual(), [1.0, 0.5], None, {}),
+        ("decay-box", decay_residual(), [1.0, 0.5], ([0.0, 0.0], [1.5, 1.0]), {"x_scale": [1.0, 0.1]}),
+        ("linear", linear_problem(), [0.5, 0.0], None, {}),
+        ("linear-gtol0", linear_problem(), [0.5, 0.0], None, {"gtol": 0.0}),
+        ("singular", Residual(lambda p: twin @ p - y, lambda p: twin), [0.5, 0.5, 0.0], None, {}),
+        ("kink", kink, [1.0], None, {}),
+        ("flat", flat, [1.0 + 2.0**-20], None, {"gtol": 0.0}),
+        ("jump-damping", jump0, [0.0], None, {"xtol": 0.0}),
+        ("jump-no-step", jump1, [1.0], None, {"xtol": 0.0}),
+    ]
+
+
+LEVMAR_PATHS_SHA256 = "698aa28b11d7563c553a522bd48bf57c2126f3c82946fd69484ab28c2f0f0b0d"
+
+
+def test_levmar_paths_are_pinned():
+    """Every ``levmar`` branch, run on small problems, hashes to a fixed digest.
+
+    The digest covers params, iterations, nfev, reason, bounds_active, the
+    Jacobian and the residual at full precision, so a change that claims to
+    leave the optimizer's arithmetic alone is checked bit for bit.
+    """
+    digest = hashlib.sha256()
+    reasons = set()
+    for name, residual, init, bounds, options in levmar_path_problems():
+        res = levmar(residual, np.array(init), bounds, **options)
+        reasons.add(res.reason)
+        for a in (res.params, res.bounds_active, res.jacobian, res.residual):
+            digest.update(np.ascontiguousarray(a).tobytes())
+        digest.update(f"{name} {res.residual_norm.hex()} {res.iterations} {res.nfev} {res.reason};".encode())
+    assert reasons == {"gtol", "ftol", "xtol", "max_iter", "damping"}
+    assert digest.hexdigest() == LEVMAR_PATHS_SHA256

@@ -99,6 +99,59 @@ def test_wl_perp_shape_is_bitwise_the_two_call_lineshape(B):
     assert wl_perp_shape(float(B[1]), 86e-9, 11.7e-9) == two_call_shape(B[1:2], 86e-9, 11.7e-9)[0]
 
 
+def masked_shape(B, l_phi, l_mfp):
+    """The lineshape through the B > 0 mask and a scatter into zeros, which
+    every grid took before grids of positive fields got their own path."""
+    arr = np.asarray(B, dtype=float)
+    work = np.atleast_1d(arr)
+    out = np.zeros_like(work)
+    nz = work > 0.0
+    if nz.any():
+        psi = digamma(0.5 + np.array([[phase_breaking_field(l_phi)], [elastic_field(l_mfp)]]) / work[nz])
+        out[nz] = psi[0] - psi[1] + math.log(2.0 * l_phi**2 / l_mfp**2)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        np.linspace(0.0, 2.0, 101),
+        np.linspace(0.02, 2.0, 100),
+        np.geomspace(1e-6, 1e2, 801),
+        np.array([0.5, math.inf]),
+        np.linspace(0.0, 2.0, 12).reshape(3, 4),
+        np.linspace(0.1, 2.0, 12).reshape(3, 4),
+        np.array([1.3]),
+        np.array([0.0]),
+        np.array([]),
+        0.7,
+        0.0,
+    ],
+    ids=["with-zero", "positive", "1e-6-to-1e2", "inf", "2d-with-zero", "2d-positive",
+         "one-point", "one-zero", "empty", "scalar", "scalar-zero"],
+)
+def test_wl_perp_shape_positive_grid_is_bitwise_the_masked_path(B):
+    for l_phi, l_mfp in [(86e-9, 11.7e-9), (2.5e-6, 3e-9)]:
+        got, want = wl_perp_shape(B, l_phi, l_mfp), masked_shape(B, l_phi, l_mfp)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("B", [math.nan, np.array([0.1, math.nan, 2.0]), np.array([[math.nan]])])
+def test_nan_field_is_rejected(B):
+    with pytest.raises(ValueError, match="B >= 0"):
+        wl_perp_shape(B, 86e-9, 11.7e-9)
+    with pytest.raises(ValueError, match="B >= 0"):
+        wl_perp(B, P1)
+    with pytest.raises(ValueError, match="B >= 0"):
+        reduced_field(B, 1.0)
+    # +inf stays a field: wl_perp saturates there, and h is infinite
+    assert wl_perp(math.inf, P1) == (G0 / math.pi) * math.log(2.0 * 86e-9**2 / 11.7e-9**2)
+    assert reduced_field(math.inf, 1.0) == math.inf
+    assert reduced_field(np.array([]), 1.0).size == 0
+
+
 def test_wl_perp_monotone_and_saturating():
     B = np.linspace(0.0, 2.0, 400)
     y = wl_perp(B, P1)

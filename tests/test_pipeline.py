@@ -602,6 +602,39 @@ def test_sigma0_averages_repeated_fields():
     )
 
 
+def test_difference_curve_averages_repeated_fields(tmp_path):
+    """Each sweep of a 2 T x 2 x 41-point file reads B = 0 again, 1% higher.
+
+    The difference curve keeps its 41 points, and at B = 0 it is the
+    difference of each orientation's mean conductivity over its two readings.
+    """
+    d = synth_dict(temps=(0.4, 1.2), num=41, noise={"relative_sigma": 0.01, "seed": 3})
+    _, plain, _ = build_dataset(tmp_path, d)
+    header, *rows = plain.read_text().splitlines()
+    repeated = [header]
+    for k in range(0, len(rows), 41):
+        sweep = rows[k:k + 41]
+        again = sweep[20].split(",")
+        assert again[3] == "0"
+        again[4] = repr(1.01 * float(again[4]))
+        repeated += sweep + [",".join(again)]
+    path = tmp_path / "repeated.csv"
+    path.write_text("\n".join(repeated) + "\n")
+    with pytest.warns(UserWarning, match="B = 0 T is read more than once"):
+        (ds,) = load_datasets([path], AnalysisConfig())
+    squares = ds.config.geometry.squares
+    perp, inpl = (s for s in ds.sweeps if s.T_bath == 0.4)
+    assert perp.theta_deg == 0.0 and inpl.theta_deg == 90.0 and perp.B.size == 42
+    B, d_sigma = pipeline._difference_curve(perp, inpl, squares)
+    assert B.size == d_sigma.size == 41
+    mean = [np.mean(1.0 / s.R_xx[s.B == 0.0]) for s in (perp, inpl)]
+    assert d_sigma[B == 0.0] == pytest.approx(squares * (mean[0] - mean[1]), rel=1e-12)
+    # every other field is read once and keeps its bits
+    once = B != 0.0
+    want = squares * (1.0 / perp.R_xx[perp.B != 0.0] - 1.0 / inpl.R_xx[inpl.B != 0.0])
+    assert np.array_equal(d_sigma[once], want)
+
+
 def test_sigma0_quadratic():
     B = np.linspace(-0.5, 0.5, 11)
     sigma = 2.0e-4 - 3.0e-5 * B + 4.0e-5 * B * B
