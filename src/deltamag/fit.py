@@ -239,7 +239,7 @@ def levmar(
             break
 
         iterations += 1
-        if lam:  # undamped steps, most of them, solve on A_f itself
+        if lam:  # damped steps only; undamped ones, most of them, solve on A_f itself
             D = np.maximum(d, 1e-32 * d.max())  # relative, so free of residual units
             A_f = A_f + lam * np.diag(D)
         try:

@@ -145,8 +145,8 @@ T_DECAY = np.linspace(0.0, 4.0, 30)
 Y_DECAY = 2.0 * np.exp(-1.3 * T_DECAY) + 0.01 * np.random.default_rng(3).standard_normal(30)
 
 
-def decay_fit(factor):
-    """Fit a*exp(-b*t) from (1, 0.5) with residual and Jacobian times ``factor``."""
+def decay_residual(factor=1.0):
+    """a*exp(-b*t) against the decay data, residual and Jacobian times ``factor``."""
 
     def fun(p):
         return factor * (p[0] * np.exp(-p[1] * T_DECAY) - Y_DECAY)
@@ -155,7 +155,12 @@ def decay_fit(factor):
         e = np.exp(-p[1] * T_DECAY)
         return factor * np.column_stack([e, -p[0] * T_DECAY * e])
 
-    return levmar(Residual(fun, jac), np.array([1.0, 0.5]))
+    return Residual(fun, jac)
+
+
+def decay_fit(factor):
+    """Fit a*exp(-b*t) from (1, 0.5) with residual and Jacobian times ``factor``."""
+    return levmar(decay_residual(factor), np.array([1.0, 0.5]))
 
 
 @settings(deadline=None, max_examples=25)
@@ -463,22 +468,11 @@ def test_wl_fits_of_the_reference_layers_are_pinned():
 
 # ------------------------------------------------------- pinned levmar paths
 
-def decay_residual():
-    def fun(p):
-        return p[0] * np.exp(-p[1] * T_DECAY) - Y_DECAY
-
-    def jac(p):
-        e = np.exp(-p[1] * T_DECAY)
-        return np.column_stack([e, -p[0] * T_DECAY * e])
-
-    return Residual(fun, jac)
-
-
 def levmar_path_problems():
     """(name, residual, init, bounds, options) reaching every branch of ``levmar``.
 
     Between them: undamped and damped solves, rejected steps, a singular
-    normal matrix, box-clipped steps and frozen coordinates on either bound,
+    normal matrix with and without the damping floor, box-clipped steps and frozen coordinates on either bound,
     and each stop reason, ``ftol`` and ``xtol`` at both of their tests.
     """
     inf = math.inf
@@ -488,6 +482,10 @@ def levmar_path_problems():
     # residuals that jump on leaving the start: every trial step is rejected
     jump0 = Residual(lambda p: np.array([1.0 if p[0] == 0.0 else 2.0]), lambda p: np.ones((1, 1)))
     jump1 = Residual(lambda p: np.array([1.0 if p[0] == 1.0 else 2.0]), lambda p: np.ones((1, 1)))
+    # p[1] does not enter: only the damping floor makes the normal matrix regular
+    zero_column = Residual(
+        lambda p: np.array([p[0] - 1.0, 2.0 * p[0] + 1.0]), lambda p: np.array([[1.0, 0.0], [2.0, 0.0]])
+    )
     # an exact Gauss-Newton step whose predicted gain is below 1e-10 of the cost
     flat = Residual(lambda p: np.array([p[0] - 1.0, 1e6]), lambda p: np.array([[1.0], [0.0]]))
     kink = Residual(
@@ -504,6 +502,7 @@ def levmar_path_problems():
         ("linear", linear_problem(), [0.5, 0.0], None, {}),
         ("linear-gtol0", linear_problem(), [0.5, 0.0], None, {"gtol": 0.0}),
         ("singular", Residual(lambda p: twin @ p - y, lambda p: twin), [0.5, 0.5, 0.0], None, {}),
+        ("zero-column", zero_column, [3.0, 1.0], None, {}),
         ("kink", kink, [1.0], None, {}),
         ("flat", flat, [1.0 + 2.0**-20], None, {"gtol": 0.0}),
         ("jump-damping", jump0, [0.0], None, {"xtol": 0.0}),
@@ -511,7 +510,7 @@ def levmar_path_problems():
     ]
 
 
-LEVMAR_PATHS_SHA256 = "698aa28b11d7563c553a522bd48bf57c2126f3c82946fd69484ab28c2f0f0b0d"
+LEVMAR_PATHS_SHA256 = "f09249ebb7057d34e8359e892a153bc37c8185564267ba713e9b2433c03f7e1e"
 
 
 def test_levmar_paths_are_pinned():
