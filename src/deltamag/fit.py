@@ -371,7 +371,6 @@ def fit_wl_difference(B, d_sigma, l_mfp: float, n_2d: float) -> WlDifferenceFit:
 
     nz = B > 0.0
     B_pos = B[nz]
-    rows = nz if B_pos.size < B.size else slice(None)  # scatter only when B = 0 is on the grid
     neg_B2 = -B * B
 
     def jacobian(p):
@@ -379,8 +378,8 @@ def fit_wl_difference(B, d_sigma, l_mfp: float, n_2d: float) -> WlDifferenceFit:
         # d/d l_phi of psi(1/2 + B_phi/B) + ln(2 l_phi^2/l^2), B_phi ~ l_phi^-2;
         # the lineshape is identically 0 at B = 0
         x = phase_breaking_field(lphi) / B_pos
-        J = np.zeros((B.size, 2)) if rows is nz else np.empty((B.size, 2))
-        J[rows, 0] = (2.0 - 2.0 * x * trigamma(0.5 + x)) / lphi
+        J = np.zeros((B.size, 2))
+        J[nz, 0] = (2.0 - 2.0 * x * trigamma(0.5 + x)) / lphi
         J[:, 1] = neg_B2 / (1.0 + gam * B * B)
         return J
 

@@ -1,18 +1,19 @@
 """Paired benchmark runs of two commits, written as a BENCH_*.json file.
 
     python3 tools/bench_pairs.py --parent HEAD^ --change HEAD --out BENCH_x.json \
-        --workdir /tmp/bench --seeds 1001 --pairs 10 --claim wl_batch:op_s_p50
+        --workdir /tmp/bench --seeds 1001 --claim wl_batch:op_s_p50
 
 Each commit is exported with ``git archive`` into its own fresh directory
 under ``--workdir``, so the runs see the committed files only. For each
-workload, pair i runs ``python3 perfbench/run.py --workload W --seed S
---seconds N --trace 0`` once in each copy, one run at a time, with seed
-S = --seeds + i; the side that runs first alternates from pair to pair.
-Traced runs (``--trace 1``) follow, one per side and traced seed. The
-output holds every run's end-to-end metrics, their medians, quartiles
-(linear interpolation) and pairs won, the ``setup_s`` spread, and the
-traced per-op counts. It is rewritten after every pair, so an interrupted
-series leaves the pairs it finished.
+workload of BENCHMARK.json, pair i of 10 runs ``python3 perfbench/run.py
+--workload W --seed S --seconds N --trace 0`` once in each copy, one run at
+a time, with seed S = --seeds + i and N the benchmark's ``run_seconds``;
+the side that runs first alternates from pair to pair. Traced runs
+(``--trace 1``, 20 s) follow, one per side and traced seed. The output
+holds every run's end-to-end metrics, their medians, quartiles (linear
+interpolation) and pairs won, the ``setup_s`` spread, and every traced
+per-op metric. It is rewritten after every pair, so an interrupted series
+leaves the pairs it finished.
 """
 
 from __future__ import annotations
@@ -31,16 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-# traced layers whose per-op values are kept; counts first, then times
-TRACED_KEYS = (
-    "special.digamma.calls", "special.digamma.points", "models.wl_perp_shape.calls",
-    "fit.levmar.calls", "fit.levmar.iterations", "fit.levmar.nfev",
-    "fit.levmar.converged_frac", "fit.fit_wl_difference.calls",
-    "collapse.dispersion.calls", "sweepio.parse_sweep_csv.calls",
-    "special.digamma.s", "models.wl_perp_shape.s", "fit.levmar.s",
-    "fit.fit_wl_difference.s", "collapse.collapse_teff.s", "sweepio.parse_sweep_csv.s",
-    "cli.main.s", "trace.overhead",
-)
+PAIRS = 10
+TRACED_SECONDS = 20.0
 # perfbench notes kept with each run: missing coverage, counts or tracer sites
 FLAGGED_NOTES = ("COVERAGE", "COUNT MISMATCH", "sites not found")
 
@@ -145,20 +138,16 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, type=Path, help="BENCH_*.json file to write")
     ap.add_argument("--workdir", required=True, type=Path,
                     help="directory for the two exported copies (emptied first)")
-    ap.add_argument("--workloads", nargs="+", default=None,
-                    help="default: every workload in BENCHMARK.json")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--traced-seeds", type=int, nargs="*", default=[501])
-    ap.add_argument("--traced-seconds", type=float, default=20.0)
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--description", default="", help="what the change does, one sentence")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = bench["end_to_end"]
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    seconds = float(bench["run_seconds"])
+    workloads = [w["name"] for w in bench["workloads"]]
     commits = {side: git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent, args.change))}
     copies = {side: args.workdir / side for side in SIDES}
     for side in SIDES:
@@ -168,16 +157,16 @@ def main(argv=None) -> int:
         "change": args.description,
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "traced_command": f"python3 perfbench/run.py --workload W --seed S "
-                          f"--seconds {args.traced_seconds:g} --trace 1",
+                          f"--seconds {TRACED_SECONDS:g} --trace 1",
         "method": "each commit in its own fresh git-archive copy; parent and change alternate "
                   "within each pair, first side alternating by pair; one run at a time; metrics "
                   "are perfbench's host-adjusted values; quartiles by linear interpolation",
-        "seconds_per_run": args.seconds,
+        "seconds_per_run": seconds,
         "machine": machine(),
         "workloads": {},
-        "traced": {"seeds": args.traced_seeds, "seconds_per_run": args.traced_seconds, "runs": {}},
+        "traced": {"seeds": args.traced_seeds, "seconds_per_run": TRACED_SECONDS, "runs": {}},
         "setup_s_spread": {},
     }
     if args.claim:
@@ -193,11 +182,11 @@ def main(argv=None) -> int:
     for wl in workloads:
         runs = {side: [] for side in SIDES}
         seeds, first = [], []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.seeds + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                runs[side].append(run_bench(copies[side], wl, seed, args.seconds, 0))
+                runs[side].append(run_bench(copies[side], wl, seed, seconds, 0))
             seeds.append(seed)
             first.append(order[0])
             table = metric_table(runs, end_to_end)
@@ -214,7 +203,7 @@ def main(argv=None) -> int:
             if args.claim and wl == out["claim"]["workload"]:
                 out["claim"]["met"] = claim_met(table[out["claim"]["metric"]], i + 1)
             save()
-            print(f"{wl} pair {i + 1}/{args.pairs} seed {seed}: op_s_p50 "
+            print(f"{wl} pair {i + 1}/{PAIRS} seed {seed}: op_s_p50 "
                   f"{runs['parent'][-1]['metrics']['op_s_p50']['value']:.6g} -> "
                   f"{runs['change'][-1]['metrics']['op_s_p50']['value']:.6g} s", flush=True)
 
@@ -222,10 +211,9 @@ def main(argv=None) -> int:
         for k, seed in enumerate(args.traced_seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                r = run_bench(copies[side], wl, seed, args.traced_seconds, 1)
+                r = run_bench(copies[side], wl, seed, TRACED_SECONDS, 1)
                 entry = {"correct": r["correct"], "failed": r["failed"], "notes": r["notes"]}
-                entry.update({key: round(r["metrics"][key]["value"], 8)
-                              for key in TRACED_KEYS if key in r["metrics"]})
+                entry.update({key: round(m["value"], 8) for key, m in r["metrics"].items()})
                 out["traced"]["runs"].setdefault(wl, {}).setdefault(str(seed), {})[side] = entry
                 save()
     print(f"wrote {args.out}")
