@@ -139,7 +139,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workdir", required=True, type=Path,
                     help="directory for the two exported copies (emptied first)")
     ap.add_argument("--seeds", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--traced-seeds", type=int, nargs="*", default=[501])
+    ap.add_argument("--traced-seeds", type=int, nargs="*", default=[501],
+                    help="seeds of the traced runs, one run per side each")
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--description", default="", help="what the change does, one sentence")
     args = ap.parse_args(argv)
