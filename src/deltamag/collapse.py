@@ -22,11 +22,21 @@ from typing import List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .fit import Measured, Residual, levmar
-from .models import g2, g2_with_log_slope, reduced_field, wl_inplane, wl_perp_shape, InPlaneParams
-from .constants import G0
+from .models import g2_with_log_slope, wl_inplane, wl_perp_shape, InPlaneParams
+from .constants import G0, K_B, MU_B
 
 N_BINS = 40  # equal-width ln h bins of the overlap guard and the master curve
 MIN_SHARED_BINS = 3  # bins holding points of 2 or more curves that dispersion needs
+
+
+def _curve_arrays(B, delta_sigma):
+    """B and delta_sigma as finite 1-d float arrays of equal length."""
+    B, delta_sigma = np.asarray(B, dtype=float), np.asarray(delta_sigma, dtype=float)
+    if B.shape != delta_sigma.shape or B.ndim != 1:
+        raise ValueError("B and delta_sigma must be 1-d arrays of equal length")
+    if not (np.isfinite(B).all() and np.isfinite(delta_sigma).all()):
+        raise ValueError("B and delta_sigma must be finite")
+    return B, delta_sigma
 
 
 @dataclass
@@ -39,10 +49,7 @@ class OrientedCurve:
     delta_sigma: np.ndarray
 
     def __post_init__(self):
-        self.B = np.asarray(self.B, dtype=float)
-        self.delta_sigma = np.asarray(self.delta_sigma, dtype=float)
-        if self.B.shape != self.delta_sigma.shape or self.B.ndim != 1:
-            raise ValueError("B and delta_sigma must be 1-d arrays of equal length")
+        self.B, self.delta_sigma = _curve_arrays(self.B, self.delta_sigma)
         if self.theta_deg not in (0.0, 90.0):
             raise ValueError("theta_deg must be 0 or 90")
         if not self.T_bath > 0.0:
@@ -58,10 +65,7 @@ class AaCurve:
     delta_sigma: np.ndarray
 
     def __post_init__(self):
-        self.B = np.asarray(self.B, dtype=float)
-        self.delta_sigma = np.asarray(self.delta_sigma, dtype=float)
-        if self.B.shape != self.delta_sigma.shape or self.B.ndim != 1:
-            raise ValueError("B and delta_sigma must be 1-d arrays of equal length")
+        self.B, self.delta_sigma = _curve_arrays(self.B, self.delta_sigma)
         if not self.T_bath > 0.0:
             raise ValueError("T_bath must be positive")
         order = np.argsort(self.B, kind="stable")
@@ -91,29 +95,27 @@ def isolate_aa(
             model = (G0 / math.pi) * wl_perp_shape(np.abs(c.B), l_phi, l_mfp)
         else:
             model = wl_inplane(c.B, InPlaneParams(gamma))
-        T, B, r = groups.get(key, (c.T_bath, c.B[:0], c.B[:0]))
-        groups[key] = (T, np.concatenate([B, c.B]), np.concatenate([r, c.delta_sigma - model]))
-    out = [AaCurve(T, B, r) for T, B, r in groups.values()]
+        T, Bs, rs = groups.setdefault(key, (c.T_bath, [], []))
+        Bs.append(c.B)
+        rs.append(c.delta_sigma - model)
+    out = [AaCurve(T, np.concatenate(Bs), np.concatenate(rs)) for T, Bs, rs in groups.values()]
     out.sort(key=lambda c: c.T_bath)
     return out
 
 
 def _pooled_points(curves, t_eff, g_factor):
     """ln h, residue, curve index and signed B of every nonzero-field point."""
-    xs, ys, ids, Bs = [], [], [], []
-    for i, c in enumerate(curves):
-        absB = np.abs(c.B)
-        keep = absB > 0.0
-        if not keep.any():
-            continue
-        h = reduced_field(absB[keep], t_eff[i], g_factor)
-        xs.append(np.log(h))
-        ys.append(c.delta_sigma[keep])
-        ids.append(np.full(int(keep.sum()), i))
-        Bs.append(c.B[keep])
-    if len(xs) < 2:
+    B = np.concatenate([c.B for c in curves] or [np.empty(0)])
+    absB = np.abs(B)
+    keep = absB > 0.0
+    ids = np.repeat(np.arange(len(curves)), [c.B.size for c in curves])[keep]
+    T = t_eff[ids]
+    if not (T > 0.0).all():  # also NaN
+        raise ValueError("reduced_field requires T > 0")
+    if ids.size == 0 or ids[0] == ids[-1]:  # ids ascend
         raise ValueError("need at least 2 curves with nonzero-field points")
-    return tuple(np.concatenate(a) for a in (xs, ys, ids, Bs))
+    x = np.log(g_factor * MU_B * absB[keep] / (K_B * T))  # h as reduced_field takes it
+    return x, np.concatenate([c.delta_sigma for c in curves])[keep], ids, B[keep]
 
 
 def _bin_index(x):
@@ -125,18 +127,19 @@ def _bin_index(x):
 def _pava_sse(means, weights, increasing):
     """Weighted isotonic regression by pool-adjacent-violators; returns SSE."""
     y = means if increasing else -means
-    sums = []   # sum of w*y per block
-    wts = []    # sum of w per block
-    lens = []   # tied-point count per block
-    for v, w in zip(y.tolist(), weights.tolist()):  # float arithmetic beats numpy scalars
+    sums, wts, lens = [], [], []  # per block: sum of w*y, sum of w, tied-point count
+    # float arithmetic beats numpy scalars, and bound list methods beat lookups
+    push_s, push_w, push_l = sums.append, wts.append, lens.append
+    pop_s, pop_w, pop_l = sums.pop, wts.pop, lens.pop
+    for v, w in zip(y.tolist(), weights.tolist()):
         s, ww, ln = v * w, w, 1
         while sums and sums[-1] * ww >= s * wts[-1]:
-            s += sums.pop()
-            ww += wts.pop()
-            ln += lens.pop()
-        sums.append(s)
-        wts.append(ww)
-        lens.append(ln)
+            s += pop_s()
+            ww += pop_w()
+            ln += pop_l()
+        push_s(s)
+        push_w(ww)
+        push_l(ln)
     fitted = np.repeat(
         np.array(sums) / np.array(wts), np.array(lens, dtype=int)
     )
@@ -238,30 +241,34 @@ def collapse_teff(curves: Sequence[AaCurve], *, g_factor: float = 2.0) -> Collap
     at_bath = dispersion(curves, t_bath, g_factor=g_factor)
 
     yn = y / (G0 / math.pi)  # G0/pi units; the fit sees them only through rounding
-    in_curve = ids[:, None] == np.arange(n)
     # g2 runs on the distinct (curve, ln h) points: both orientations and field
     # signs share each |B|; equal h of two curves part once their theta differ
     keys, inverse = np.unique(ids + 1j * x_bath, return_inverse=True)  # axis=0 sorts 10x slower
     u_ids, u_x = keys.real.astype(int), keys.imag
-    kept = [None, None, None]  # p, g2 and h dg2/dh of the last evaluation
+    kept = [None, None, None]  # theta, g2 and h dg2/dh of the last evaluation
+    rows = np.arange(y.size)
 
-    def keep_g2(p):
-        g, slope = g2_with_log_slope(np.exp(u_x - p[:n][u_ids]))
-        kept[:] = p.copy(), g[inverse], slope[inverse]
+    def g2_at(theta):
+        # levmar asks for the Jacobian at its last evaluation, and starts at the bath
+        if not np.array_equal(theta, kept[0]):
+            g, slope = g2_with_log_slope(np.exp(u_x - theta[u_ids]))
+            kept[:] = theta.copy(), g[inverse], slope[inverse]
+        return kept[1], kept[2]
 
     def evaluate(p):
-        keep_g2(p)
-        return -0.5 * p[n] * math.exp(2.0 * p[:n].mean()) * kept[1] - yn
+        return -0.5 * p[n] * math.exp(2.0 * p[:n].mean()) * g2_at(p[:n])[0] - yn
 
     def jacobian(p):
-        if not np.array_equal(p, kept[0]):  # levmar always asks at its last evaluation
-            keep_g2(p)
-        _, g, slope = kept
+        g, slope = g2_at(p[:n])
         w = math.exp(2.0 * p[:n].mean())
-        d_theta = 0.5 * p[n] * w * (in_curve * slope[:, None] - (2.0 / n) * g[:, None])
-        return np.column_stack([d_theta, -0.5 * w * g])
+        a, d = 0.5 * p[n] * w, -(2.0 / n) * g
+        J = np.empty((y.size, n + 1))
+        J[:, :n] = (a * d)[:, None]
+        J[rows, ids] = a * (slope + d)
+        J[:, n] = -0.5 * w * g
+        return J
 
-    g_bath = g2(np.exp(u_x))[inverse]
+    g_bath = g2_at(np.zeros(n))[0]
     a0 = -2.0 * float(g_bath @ yn) / float(g_bath @ g_bath)
     lo, hi = np.full(n, math.log(0.75)), np.full(n, math.log(30.0))
     bounds = (np.append(lo, -np.inf), np.append(hi, np.inf))

@@ -356,6 +356,9 @@ def fit_wl_difference(B, d_sigma, l_mfp: float, n_2d: float) -> WlDifferenceFit:
     y = np.asarray(d_sigma, dtype=float)
     if B.shape != y.shape or B.ndim != 1:
         raise ValueError("B and d_sigma must be 1-d arrays of equal length")
+    for name, v in (("B", B), ("d_sigma", y)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} contains non-finite values")
     if B.size < 5:
         raise ValueError("need at least 5 points for a 2-parameter fit")
     if not (0.0 < l_mfp < math.inf and 0.0 < n_2d < math.inf):

@@ -75,8 +75,9 @@ def density_from_hall(B, R_xy) -> Measured:
     span = float(np.max(B) - np.min(B))
     if span < 0.5:
         raise ValueError(f"field span {span:.3g} T is below the required 0.5 T")
-    if np.any(~np.isfinite(R_xy)):
-        raise ValueError("R_xy contains non-finite values")
+    for name, v in (("B", B), ("R_xy", R_xy)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} contains non-finite values")
     res = linear_fit(B, R_xy)
     slope = res.slope
     if slope <= 0.0:

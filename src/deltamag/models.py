@@ -10,7 +10,8 @@ square relative to the zero-field value:
 * ``zeeman_aa``: the interaction (Altshuler-Aronov) correction driven by
   Zeeman splitting, proportional to the crossover function ``g2`` of the
   reduced field h = g mu_B B / (k_B T) only, and therefore isotropic in the
-  field direction.
+  field direction. g2 sums the ten-step digamma lift of ``special`` in
+  real arithmetic; only its asymptotic tails are complex.
 
 The total correction is the parallel-channel sum WL + Zeeman; taking the
 difference of perpendicular and in-plane sweeps cancels the isotropic
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, G0, HBAR, K_B, MU_B
-from .special import digamma, polygammas
+from .special import _TAIL_COEFFS, digamma
 
 EULER_GAMMA = 0.5772156649015329
 # zeta(3), zeta(5), ..., zeta(31)
@@ -41,6 +42,10 @@ _ZETA_ODD = (
 _G2_SERIES = np.array(
     [[[(2 * n + 3) * z], [(2 * n + 2) * (2 * n + 3) * z]] for n, z in enumerate(_ZETA_ODD)]
 )
+# the psi, psi1 and psi2 tails of ``special`` side by side: B_2n/2n, B_2n, B_2n (2n + 1)
+_G2_TAILS = np.array([[[a], [2 * n * a], [(2 * n + 1) * 2 * n * a]] for n, a in enumerate(_TAIL_COEFFS, 1)])
+_K = np.arange(1.0, 11.0)  # the lift terms k = 1..10
+_K2 = (_K * _K)[:, None]
 
 
 @dataclass(frozen=True)
@@ -208,22 +213,35 @@ def reduced_field(B, T: float, g_factor: float = 2.0):
 
 def g2_with_log_slope(h):
     """g2(h) and h dg2/dh = c (-2 Im psi1(z) - c Re psi2(z)) as arrays shaped
-    like h, with c and z as in ``g2``, from one polygamma lift."""
+    like h, with c and z as in ``g2``. For c >= 0.25 the ten lift terms of psi,
+    psi1 and psi2 are summed in real arithmetic, with q = 1/(k^2 + c^2):
+    Re 1/(k + ic) = kq, Im 1/(k + ic)^2 = -2ckq^2, Re 1/(k + ic)^3 = k(k^2 - 3c^2)q^3."""
     arr = np.asarray(h, dtype=float)
     c = arr.reshape(-1) / (2.0 * math.pi)
     g, slope = np.empty_like(c), np.empty_like(c)
     small = c < 0.25  # there 15 terms are exact to rounding; the closed form cancels gamma_E
-    c2 = c[small] ** 2
-    acc = 0.0
-    for a in _G2_SERIES[::-1]:
-        acc = acc * -c2 + a
-    g[small], slope[small] = c2 * acc
+    if small.any():
+        c2 = c[small] ** 2
+        neg_c2, acc = -c2, 0.0
+        for a in _G2_SERIES[::-1]:
+            acc = acc * neg_c2 + a
+        g[small], slope[small] = c2 * acc
     big = ~small
     if big.any():
         cb = c[big]
-        psi, psi1, psi2 = polygammas(1.0 + 1j * cb)
-        g[big] = EULER_GAMMA + psi.real - cb * psi1.imag
-        slope[big] = cb * (-2.0 * psi1.imag - cb * psi2.real)
+        cc = cb * cb
+        q = 1.0 / (_K2 + cc)
+        q2 = q * q
+        w = 11.0 + 1j * cb  # z + 10, where the psi, psi1 and psi2 tails are summed at once
+        z = 1.0 / (w * w)
+        t = 0.0
+        for a in _G2_TAILS[::-1]:
+            t = (t + a) * z
+        re_psi = (np.log(w) - 0.5 / w - t[0]).real - _K @ q
+        im_psi1 = ((1.0 + 0.5 / w + t[1]) / w).imag - 2.0 * cb * (_K @ q2)
+        re_psi2 = (-(1.0 + 1.0 / w + t[2]) * z).real - 2.0 * (_K @ (q2 * q * (_K2 - 3.0 * cc)))
+        g[big] = EULER_GAMMA + re_psi - cb * im_psi1
+        slope[big] = cb * (-2.0 * im_psi1 - cb * re_psi2)
     return g.reshape(arr.shape), slope.reshape(arr.shape)
 
 

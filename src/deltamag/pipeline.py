@@ -213,17 +213,18 @@ def _difference_curve(perp: SweepRecord, inpl: SweepRecord, squares: float):
     """Perpendicular minus in-plane conductivity on the shared field grid; a
     field read more than once gives the mean conductivity of its readings."""
 
-    def by_field(s: SweepRecord) -> dict:
-        readings: dict = {}
-        for b, g in zip(s.B.tolist(), (1.0 / s.R_xx).tolist()):
-            readings.setdefault(round(b, 9), []).append(g)
-        return {b: sum(gs) / len(gs) for b, gs in readings.items()}
+    def by_field(s: SweepRecord):
+        """The distinct fields, ascending, and the conductivity at each."""
+        fields, inverse = np.unique([round(b, 9) for b in s.B.tolist()], return_inverse=True)
+        g = np.bincount(inverse, weights=1.0 / s.R_xx)
+        return fields, (g / np.bincount(inverse) if fields.size < inverse.size else g)
 
     with np.errstate(divide="ignore", invalid="ignore"):  # R_xx = 0 is reported by the caller
-        g_p, g_i = by_field(perp), by_field(inpl)
-        common = sorted(g_p.keys() & g_i.keys())
-        d = squares * (np.array([g_p[b] for b in common]) - np.array([g_i[b] for b in common]))
-    return np.array(common, dtype=float), d
+        (b_p, g_p), (b_i, g_i) = by_field(perp), by_field(inpl)
+        at = np.searchsorted(b_i, b_p)
+        common = np.append(b_i, np.nan)[at] == b_p  # nan past the end matches no field
+        d = squares * (g_p[common] - g_i[at[common]])
+    return b_p[common], d
 
 
 @dataclass

@@ -1,28 +1,26 @@
-"""Digamma and trigamma functions, and the first three polygammas at once.
+"""Digamma and trigamma functions.
 
 The weak-localization lineshape needs psi(1/2 + x) for x from ~1e-9 up to
 ~1e8, and its Jacobian the trigamma psi1 at the same points, so both must
 be accurate over a wide range and cheap to evaluate on arrays. Each works
 element by element on any shape, and on one sweep's ~100 points a call costs
 mostly fixed overhead, so the lineshape lifts its two arguments as one
-(2, m) array. The Zeeman crossover function evaluates psi, psi1 and psi2 at
-complex z = 1 + ic, all three from one lift (``polygammas``).
-Every argument (real x > 0, or a complex array with Re z > 0) is lifted
-by ten steps of the recurrences
+(2, m) array. Every argument (real x > 0, or a complex array with
+Re z > 0) is lifted by ten steps of the recurrences
 
     psi(x) = psi(x + 10) - sum_{k<10} 1/(x + k)
-    psi1(x) = psi1(x + 10) + sum_{k<10} 1/(x + k)^2
-    psi2(x) = psi2(x + 10) - sum_{k<10} 2/(x + k)^3,
+    psi1(x) = psi1(x + 10) + sum_{k<10} 1/(x + k)^2,
 
 which put any Re x above 10, where the asymptotic series
 
     psi(x) ~ ln x - 1/(2x) - sum_n B_2n / (2n x^2n)
     psi1(x) ~ 1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1)
-    psi2(x) ~ -1/x^2 - 1/x^3 - sum_n B_2n (2n+1) / x^(2n+2)
 
 are summed. Six Bernoulli terms keep the truncation error below 1e-14 there
 (the first neglected terms are B_14/(14 x^14) ~ 9e-15 and B_14/x^15 ~ 1.2e-15
-at x = 10).
+at x = 10). The Zeeman crossover function ``models.g2`` needs psi, psi1 and
+psi2 at complex z = 1 + ic; it sums the same lift and tails in real
+arithmetic where it can, with ``_TAIL_COEFFS`` from here.
 """
 
 from __future__ import annotations
@@ -86,22 +84,3 @@ def trigamma(x):
         tail = (tail + 2 * n * _TAIL_COEFFS[n - 1]) * z
     result = (1.0 + 0.5 / w + tail) / w + (1.0 / (steps * steps)).sum(axis=1)
     return result[0].item() if arr.ndim == 0 else result.reshape(arr.shape)
-
-
-def polygammas(x):
-    """(psi, psi1, psi2) from one lift, psi and psi1 bitwise equal to ``digamma``
-    and ``trigamma``; arguments, shapes and errors as for ``digamma``."""
-    arr, steps, w = _lift(x, "polygammas")
-    z = 1.0 / (w * w)
-    t0 = t1 = t2 = 0.0
-    for n in range(len(_TAIL_COEFFS), 0, -1):  # the tails above; B_2n (2n + 1) for psi2
-        c = _TAIL_COEFFS[n - 1]
-        t0 = (t0 + c) * z
-        t1 = (t1 + 2 * n * c) * z
-        t2 = (t2 + (2 * n + 1) * 2 * n * c) * z
-    out = (
-        np.log(w) - 0.5 / w - t0 - (1.0 / steps).sum(axis=1),
-        (1.0 + 0.5 / w + t1) / w + (1.0 / (steps * steps)).sum(axis=1),
-        -(1.0 + 1.0 / w + t2) * z - 2.0 * (1.0 / (steps * steps * steps)).sum(axis=1),
-    )
-    return tuple(r[0].item() if arr.ndim == 0 else r.reshape(arr.shape) for r in out)

@@ -19,6 +19,7 @@ from deltamag import (
     wl_perp,
     zeeman_aa,
 )
+from deltamag.collapse import _pooled_points
 
 # row-7 layer values
 N_2D = 2.14e17
@@ -82,6 +83,19 @@ def test_thin_layer_inplane_residue_is_the_data():
     curve = OrientedCurve(0.5, 90.0, B, y)
     (res,) = isolate_aa([curve], {0.5: (3e-8, 0.0)}, 3e-9)
     np.testing.assert_array_equal(res.delta_sigma, y)
+
+
+def test_curves_reject_nonfinite_points():
+    # dispersion once dropped a NaN-field point unseen, and a NaN residue
+    # reached levmar as a non-finite iteration
+    B = np.linspace(-2.0, 2.0, 9)
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in (0, 1):
+            arrays = [B.copy(), np.ones(9)]
+            arrays[k][3] = bad
+            for make in (lambda B, y: OrientedCurve(0.3, 0.0, B, y), lambda B, y: AaCurve(0.3, B, y)):
+                with pytest.raises(ValueError, match="B and delta_sigma must be finite"):
+                    make(*arrays)
 
 
 def test_aa_curve_sorts_by_field():
@@ -167,6 +181,54 @@ def test_dispersion_counts_shared_bins_like_a_loop():
         curves = aa_curves(temps, B)
         assert loop_shared_bins(curves) == want
         assert dispersion(curves) >= 0.0
+
+
+def per_curve_pooled_points(curves, t_eff, g_factor):
+    """The per-curve pooling through reduced_field that _pooled_points replaced."""
+    xs, ys, ids, Bs = [], [], [], []
+    for i, c in enumerate(curves):
+        absB = np.abs(c.B)
+        keep = absB > 0.0
+        if not keep.any():
+            continue
+        xs.append(np.log(reduced_field(absB[keep], t_eff[i], g_factor)))
+        ys.append(c.delta_sigma[keep])
+        ids.append(np.full(int(keep.sum()), i))
+        Bs.append(c.B[keep])
+    if len(xs) < 2:
+        raise ValueError("need at least 2 curves with nonzero-field points")
+    return tuple(np.concatenate(a) for a in (xs, ys, ids, Bs))
+
+
+def test_pooled_points_is_bitwise_the_per_curve_path():
+    rng = np.random.default_rng(11)
+    curves = [
+        AaCurve(0.1, np.linspace(-2.0, 2.0, 41), rng.standard_normal(41)),
+        AaCurve(0.4, np.zeros(3), rng.standard_normal(3)),  # no nonzero field
+        AaCurve(0.7, np.r_[0.0, rng.uniform(-3.0, 3.0, 17), 0.0], rng.standard_normal(19)),
+        AaCurve(1.2, np.geomspace(1e-3, 9.0, 23), rng.standard_normal(23)),
+    ]
+    t_eff = np.array([0.13, 0.4, 0.71, 1.19])
+    for g_factor in (2.0, 0.44):
+        got = _pooled_points(curves, t_eff, g_factor)
+        for a, b in zip(got, per_curve_pooled_points(curves, t_eff, g_factor)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # a bad temperature fails as reduced_field fails, unless its curve has no nonzero field
+    for bad in (0.0, -0.2, math.nan):
+        for i in (0, 2, 3):
+            t = t_eff.copy()
+            t[i] = bad
+            for pool in (_pooled_points, per_curve_pooled_points):
+                with pytest.raises(ValueError, match="^reduced_field requires T > 0$"):
+                    pool(curves, t, 2.0)
+        t = t_eff.copy()
+        t[1] = bad
+        want = _pooled_points(curves, t_eff, 2.0)[0]
+        assert _pooled_points(curves, t, 2.0)[0].tobytes() == want.tobytes()
+    for few in ([curves[0]], curves[:2], []):
+        for pool in (_pooled_points, per_curve_pooled_points):
+            with pytest.raises(ValueError, match="^need at least 2 curves with nonzero-field points$"):
+                pool(few, t_eff[: len(few)], 2.0)
 
 
 def test_dispersion_t_eff_length_guard():

@@ -361,6 +361,17 @@ def test_wl_difference_point_count_guards():
             fit_wl_difference(B, difference_curve(L07, B), l_mfp, n_2d)
 
 
+def test_wl_difference_rejects_nonfinite_input():
+    # a NaN in d_sigma once failed inside levmar, as if the iteration were at fault
+    B = np.linspace(-2.0, 2.0, 40)
+    for bad in (math.nan, math.inf):
+        for name in ("B", "d_sigma"):
+            args = {"B": B.copy(), "d_sigma": difference_curve(L07, B)}
+            args[name][7] = bad
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite values"):
+                fit_wl_difference(args["B"], args["d_sigma"], L07.si("l_mfp"), L07.si("n_2d"))
+
+
 def test_wl_difference_thin_layer_limit():
     # data with no in-plane orbital signal: thickness comes back as zero
     B = np.linspace(-2.0, 2.0, 80)

@@ -75,6 +75,16 @@ def test_density_rejects_nonfinite_r_xy():
         density_from_hall(B, R_xy)
 
 
+def test_density_rejects_nonfinite_field():
+    # a NaN field once passed the span test and returned Measured(nan, nan)
+    for bad in (np.nan, np.inf):
+        B = np.linspace(-1.0, 1.0, 11)
+        R_xy = B / (1e17 * E_CHARGE)
+        B[4] = bad
+        with pytest.raises(ValueError, match="B contains non-finite values"):
+            density_from_hall(B, R_xy)
+
+
 def test_geometry():
     assert GEO.squares == pytest.approx(10.0)
     with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from deltamag import (
 )
 from deltamag.constants import G0
 from deltamag.models import g2_with_log_slope
-from deltamag.special import digamma
+from deltamag.special import _TAIL_COEFFS, digamma, trigamma
 
 # row-1 layer scale: l_phi = 86 nm, l = 11.7 nm
 P1 = WlParams(l_phi=86e-9, l_mfp=11.7e-9)
@@ -278,6 +278,49 @@ def test_g2_log_slope_matches_central_differences():
     g, slope = g2_with_log_slope(h)
     np.testing.assert_allclose(slope, fd, rtol=1e-8)
     np.testing.assert_array_equal(g, g2(h))
+
+
+def complex_lift(z):
+    """psi, psi1 and psi2 at complex z from one ten-step lift, each term a
+    complex division: the path that g2_with_log_slope's real lift replaced."""
+    steps = z[:, None] + np.arange(10.0)
+    w = z + 10.0
+    zz = 1.0 / (w * w)
+    t0 = t1 = t2 = 0.0
+    for n in range(len(_TAIL_COEFFS), 0, -1):  # B_2n/2n, B_2n and B_2n (2n + 1)
+        c = _TAIL_COEFFS[n - 1]
+        t0 = (t0 + c) * zz
+        t1 = (t1 + 2 * n * c) * zz
+        t2 = (t2 + (2 * n + 1) * 2 * n * c) * zz
+    return (
+        np.log(w) - 0.5 / w - t0 - (1.0 / steps).sum(axis=1),
+        (1.0 + 0.5 / w + t1) / w + (1.0 / (steps * steps)).sum(axis=1),
+        -(1.0 + 1.0 / w + t2) * zz - 2.0 * (1.0 / (steps * steps * steps)).sum(axis=1),
+    )
+
+
+def test_complex_lift_reference_is_special_and_scipy():
+    z = 1.0 + 1j * np.geomspace(1e-5, 1e4, 400)
+    psi, psi1, _ = complex_lift(z)
+    np.testing.assert_array_equal(psi, digamma(z))
+    np.testing.assert_array_equal(psi1, trigamma(z))
+    x = np.geomspace(1e-3, 1e6, 400)
+    ref = scipy.special.polygamma(2, x)
+    assert np.max(np.abs(complex_lift(x + 0j)[2].real - ref) / np.abs(ref)) < 1e-14
+
+
+def test_g2_real_lift_matches_complex_lift():
+    join = 0.25 * 2.0 * math.pi  # c = h/2pi = 1/4
+    h = np.concatenate([np.geomspace(1e-3, 1e4, 4001), join * (1.0 + np.linspace(-1e-6, 1e-6, 41))])
+    g, slope = g2_with_log_slope(h)
+    c = h / (2.0 * math.pi)
+    big = c >= 0.25
+    assert 0 < big.sum() < h.size
+    psi, psi1, psi2 = complex_lift(1.0 + 1j * c[big])
+    want_g = 0.5772156649015329 + psi.real - c[big] * psi1.imag
+    want_slope = c[big] * (-2.0 * psi1.imag - c[big] * psi2.real)
+    assert np.max(np.abs(g[big] / want_g - 1.0)) < 1e-14
+    assert np.max(np.abs(slope[big] / want_slope - 1.0)) < 1e-14
 
 
 def test_g2_with_log_slope_shapes():

@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 
 import deltamag.pipeline as pipeline
 from deltamag.cli import SECTION_OF, main
+from deltamag.sweepio import SweepRecord
 from deltamag import (
     AnalysisConfig,
     Dataset,
@@ -633,6 +634,51 @@ def test_difference_curve_averages_repeated_fields(tmp_path):
     once = B != 0.0
     want = squares * (1.0 / perp.R_xx[perp.B != 0.0] - 1.0 / inpl.R_xx[inpl.B != 0.0])
     assert np.array_equal(d_sigma[once], want)
+
+
+def dict_difference_curve(perp, inpl, squares):
+    """The pairing through per-field dicts that _difference_curve replaced."""
+
+    def by_field(s):
+        readings = {}
+        for b, g in zip(s.B.tolist(), (1.0 / s.R_xx).tolist()):
+            readings.setdefault(round(b, 9), []).append(g)
+        return {b: sum(gs) / len(gs) for b, gs in readings.items()}
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_p, g_i = by_field(perp), by_field(inpl)
+        common = sorted(g_p.keys() & g_i.keys())
+        d = squares * (np.array([g_p[b] for b in common]) - np.array([g_i[b] for b in common]))
+    return np.array(common, dtype=float), d
+
+
+def test_difference_curve_is_bitwise_the_dict_pairing():
+    rng = np.random.default_rng(21)
+
+    def sweep(theta, B, R_xx=None):
+        R_xx = 100.0 * (1.0 + 0.01 * rng.standard_normal(len(B))) if R_xx is None else R_xx
+        return SweepRecord("S", 0.4, theta, B, R_xx, None, 1e-8)
+
+    grid = np.linspace(-2.0, 2.0, 81)
+    down = grid[::-1] + 3e-10  # a down sweep; readbacks within round(B, 9)
+    shifted = np.r_[grid[::2] + 1e-6, grid[1::4], 2.5]  # off-grid readbacks, a field past the end
+    repeated = np.r_[grid[:50], 0.0, 0.0, grid[10:30:3], -0.05]
+    zero_cell = 100.0 * np.ones(81)
+    zero_cell[[7, 40]] = 0.0
+    cases = {
+        "shared grid": (sweep(0.0, grid), sweep(90.0, down)),
+        "mismatched grids": (sweep(0.0, grid), sweep(90.0, shifted)),
+        "repeated readings": (sweep(0.0, repeated), sweep(90.0, np.r_[repeated[::-1], 0.0])),
+        "R_xx = 0": (sweep(0.0, grid, zero_cell), sweep(90.0, grid, np.where(grid == 0.0, 0.0, 99.0))),
+    }
+    for name, (perp, inpl) in cases.items():
+        got = pipeline._difference_curve(perp, inpl, 7.5)
+        want = dict_difference_curve(perp, inpl, 7.5)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # the mismatched grids share only the in-plane readbacks of grid[1::4]
+    assert pipeline._difference_curve(*cases["mismatched grids"], 7.5)[0].size == 20
+    assert np.isnan(pipeline._difference_curve(*cases["R_xx = 0"], 7.5)[1]).sum() == 1
 
 
 def test_sigma0_quadratic():

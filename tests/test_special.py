@@ -5,14 +5,9 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
-from deltamag.special import digamma, polygammas, trigamma
+from deltamag.special import digamma, trigamma
 
 EULER_GAMMA = 0.5772156649015329
-
-
-def psi2(x):
-    """Tetragamma, the third output of one polygamma lift."""
-    return polygammas(x)[2]
 
 
 def test_known_values():
@@ -21,7 +16,6 @@ def test_known_values():
     assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-13)
     assert trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-14)
     assert trigamma(0.5) == pytest.approx(math.pi**2 / 2.0, rel=1e-14)
-    assert psi2(1.0) == pytest.approx(-2.0 * 1.2020569031595942, rel=1e-14)
 
 
 def test_matches_reference_over_working_range():
@@ -32,8 +26,6 @@ def test_matches_reference_over_working_range():
     assert err.max() < 1e-13
     ref = scipy.special.polygamma(1, x)
     assert np.max(np.abs(trigamma(x) - ref) / ref) < 1e-14
-    ref = scipy.special.polygamma(2, x)
-    assert np.max(np.abs(psi2(x) - ref) / np.abs(ref)) < 1e-14
 
 
 def test_complex_digamma_matches_reference():
@@ -44,24 +36,11 @@ def test_complex_digamma_matches_reference():
     assert isinstance(digamma(np.array(1.0 + 2.0j)), complex)
 
 
-def test_polygammas_match_digamma_and_trigamma_bitwise():
-    # one lift for all three must give the same bits as the single functions
-    z = 1.0 + 1j * np.geomspace(1e-5, 1e4, 400)
-    other = np.array([0.3 - 2.0j, 5.0 + 0.5j])
-    for x in (z, z.reshape(20, 20), other, np.geomspace(1e-9, 1e8, 400)):
-        psi, psi1, third = polygammas(x)
-        np.testing.assert_array_equal(psi, digamma(x))
-        np.testing.assert_array_equal(psi1, trigamma(x))
-        assert third.shape == x.shape
-    assert polygammas(2.5)[:2] == (digamma(2.5), trigamma(2.5))
-
-
 def test_scalar_and_array_shapes():
     grid = [[1.0, 2.0], [3.0, 4.0]]
     pairs = (
         (digamma, scipy.special.digamma),
         (trigamma, lambda x: scipy.special.polygamma(1, x)),
-        (psi2, lambda x: scipy.special.polygamma(2, x)),
     )
     for fun, ref in pairs:
         assert isinstance(fun(3.0), float)
@@ -71,7 +50,7 @@ def test_scalar_and_array_shapes():
 
 
 def test_rejects_nonpositive_and_nonfinite():
-    for fun in (digamma, trigamma, polygammas):
+    for fun in (digamma, trigamma):
         for bad in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, np.array(-1.0)):
             with pytest.raises(ValueError, match="finite x > 0"):
                 fun(bad)
@@ -88,15 +67,14 @@ def test_rejects_nonpositive_and_nonfinite():
     assert digamma(np.array(2.0)) == digamma(2.0) and isinstance(digamma(np.array(2.0)), float)
     for fun in (digamma, trigamma):
         assert fun(np.empty((0, 3))).shape == (0, 3)
-    assert [a.shape for a in polygammas(np.empty(0, dtype=complex))] == [(0,)] * 3
+        assert fun(np.empty(0, dtype=complex)).shape == (0,)
 
 
 @given(st.floats(min_value=1e-2, max_value=1e3))
 def test_recurrence_identity(x):
-    # psi(x + 1) = psi(x) + 1/x, psi1(x) - psi1(x + 1) = 1/x^2, psi2(x + 1) - psi2(x) = 2/x^3
+    # psi(x + 1) = psi(x) + 1/x, psi1(x) - psi1(x + 1) = 1/x^2
     assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) < 1e-10
     assert abs(trigamma(x) - trigamma(x + 1.0) - 1.0 / x**2) < 1e-14 * max(1.0, 1.0 / x**2)
-    assert abs(psi2(x + 1.0) - psi2(x) - 2.0 / x**3) < 1e-14 * max(1.0, 2.0 / x**3)
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))
