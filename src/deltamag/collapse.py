@@ -127,19 +127,18 @@ def _bin_index(x):
 def _pava_sse(means, weights, increasing):
     """Weighted isotonic regression by pool-adjacent-violators; returns SSE."""
     y = means if increasing else -means
-    sums, wts, lens = [], [], []  # per block: sum of w*y, sum of w, tied-point count
-    # float arithmetic beats numpy scalars, and bound list methods beat lookups
-    push_s, push_w, push_l = sums.append, wts.append, lens.append
-    pop_s, pop_w, pop_l = sums.pop, wts.pop, lens.pop
-    for v, w in zip(y.tolist(), weights.tolist()):
+    sums = []   # sum of w*y per block
+    wts = []    # sum of w per block
+    lens = []   # tied-point count per block
+    for v, w in zip(y.tolist(), weights.tolist()):  # float arithmetic beats numpy scalars
         s, ww, ln = v * w, w, 1
         while sums and sums[-1] * ww >= s * wts[-1]:
-            s += pop_s()
-            ww += pop_w()
-            ln += pop_l()
-        push_s(s)
-        push_w(ww)
-        push_l(ln)
+            s += sums.pop()
+            ww += wts.pop()
+            ln += lens.pop()
+        sums.append(s)
+        wts.append(ww)
+        lens.append(ln)
     fitted = np.repeat(
         np.array(sums) / np.array(wts), np.array(lens, dtype=int)
     )
