@@ -17,6 +17,7 @@ from .models import (
     elastic_field,
     g2,
     gamma_param,
+    orbital_delta_sigma,
     phase_breaking_field,
     reduced_field,
     thickness_from_gamma,
@@ -126,6 +127,7 @@ __all__ = [
     "load_datasets",
     "mean_free_path",
     "mobility",
+    "orbital_delta_sigma",
     "parse_sweep_csv",
     "phase_breaking_field",
     "reduced_field",

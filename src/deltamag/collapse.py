@@ -22,8 +22,8 @@ from typing import List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .fit import Measured, Residual, levmar
-from .models import g2_with_log_slope, wl_inplane, wl_perp_shape, InPlaneParams
-from .constants import G0, K_B, MU_B
+from .models import g2_with_log_slope, orbital_delta_sigma, reduced_field
+from .constants import G0
 
 N_BINS = 40  # equal-width ln h bins of the overlap guard and the master curve
 MIN_SHARED_BINS = 3  # bins holding points of 2 or more curves that dispersion needs
@@ -91,10 +91,7 @@ def isolate_aa(
     for c in curves:
         key = round(c.T_bath, 9)
         l_phi, gamma = wl_fits[key]
-        if c.theta_deg == 0.0:
-            model = (G0 / math.pi) * wl_perp_shape(np.abs(c.B), l_phi, l_mfp)
-        else:
-            model = wl_inplane(c.B, InPlaneParams(gamma))
+        model = orbital_delta_sigma(np.abs(c.B), c.theta_deg, l_phi, l_mfp, gamma)
         T, Bs, rs = groups.setdefault(key, (c.T_bath, [], []))
         Bs.append(c.B)
         rs.append(c.delta_sigma - model)
@@ -109,13 +106,10 @@ def _pooled_points(curves, t_eff, g_factor):
     absB = np.abs(B)
     keep = absB > 0.0
     ids = np.repeat(np.arange(len(curves)), [c.B.size for c in curves])[keep]
-    T = t_eff[ids]
-    if not (T > 0.0).all():  # also NaN
-        raise ValueError("reduced_field requires T > 0")
+    h = reduced_field(absB[keep], t_eff[ids], g_factor)
     if ids.size == 0 or ids[0] == ids[-1]:  # ids ascend
         raise ValueError("need at least 2 curves with nonzero-field points")
-    x = np.log(g_factor * MU_B * absB[keep] / (K_B * T))  # h as reduced_field takes it
-    return x, np.concatenate([c.delta_sigma for c in curves])[keep], ids, B[keep]
+    return np.log(h), np.concatenate([c.delta_sigma for c in curves])[keep], ids, B[keep]
 
 
 def _bin_index(x):

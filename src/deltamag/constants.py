@@ -1,8 +1,9 @@
 """Physical constants and unit conversion.
 
 All model code works in base SI units. Practical units used in data files
-and tables (cm^-2, cm^2/Vs, nm, um) are converted at the I/O boundary only,
-so no scale factors appear inside the physics.
+and tables (cm^-2, cm^2/Vs, nm, um, and the lab records' 1e13 cm^-2 and
+1e-4 S/sq) are converted at the I/O boundary only, so no scale factors
+appear inside the physics.
 
 Values are CODATA 2018; e, h and k_B are exact by definition since the 2019
 SI redefinition.
@@ -30,12 +31,15 @@ _UNIT_TO_SI = {
     "T": ("T", 1.0),
     "K": ("K", 1.0),
     "S/sq": ("S/sq", 1.0),
+    "1e-4 S/sq": ("S/sq", 1e-4),
     "m^-2": ("m^-2", 1.0),
     "cm^-2": ("m^-2", 1e4),
+    "1e13 cm^-2": ("m^-2", 1e17),
     "m^2/Vs": ("m^2/Vs", 1.0),
     "cm^2/Vs": ("m^2/Vs", 1e-4),
     "m^-1": ("m^-1", 1.0),
     "nm^-1": ("m^-1", 1e9),
+    "1": ("1", 1.0),  # dimensionless
 }
 
 

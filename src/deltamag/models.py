@@ -200,9 +200,11 @@ def thickness_from_gamma(gamma: float, n_2d: float, l_phi: float, l_mfp: float) 
     return math.sqrt(gamma / scale)
 
 
-def reduced_field(B, T: float, g_factor: float = 2.0):
-    """Reduced magnetic field h = g mu_B B / (k_B T), dimensionless."""
-    if not T > 0.0:
+def reduced_field(B, T, g_factor: float = 2.0):
+    """Reduced magnetic field h = g mu_B B / (k_B T), dimensionless; T is one
+    temperature or one per point, shaped like B."""
+    T = np.asarray(T, dtype=float)
+    if T.size and not T.min() > 0.0:  # also NaN
         raise ValueError("reduced_field requires T > 0")
     arr = np.asarray(B, dtype=float)
     if arr.size and not arr.min() >= 0.0:  # also NaN
@@ -283,38 +285,27 @@ def zeeman_aa(B, T: float, p: AaParams):
     return -G0 / (2.0 * math.pi) * p.F * g2(h)
 
 
+def orbital_delta_sigma(B, theta_deg: float, l_phi: float, l_mfp: float, gamma: float):
+    """Orbital (WL) correction of one orientation at field magnitude B >= 0, S:
+    (G0/pi) ``wl_perp_shape`` at theta = 0 (perpendicular), ``wl_inplane`` at
+    theta = 90 deg (in-plane), the two measured orientations."""
+    if theta_deg == 0.0:
+        return (G0 / math.pi) * wl_perp_shape(B, l_phi, l_mfp)
+    if theta_deg == 90.0:
+        return wl_inplane(B, InPlaneParams(gamma))
+    raise ValueError("theta_deg must be 0 or 90")
+
+
 def total_delta_sigma(
-    B,
-    theta: float,
-    T: float,
-    wl: WlParams,
-    ip: InPlaneParams,
-    aa: AaParams,
+    B, theta_deg: float, T: float, wl: WlParams, ip: InPlaneParams, aa: AaParams
 ):
-    """Total correction, WL and Zeeman channels added in parallel.
+    """Total correction, WL and Zeeman channels added in parallel, S.
 
-    Parameters
-    ----------
-    B : float or array_like
-        Field magnitude, T.
-    theta : float
-        Angle from the layer normal, radians. Only 0 (perpendicular) and
-        pi/2 (in-plane), the two measured orientations, are supported.
-    T : float
-        Electron temperature, K.
-
-    Returns
-    -------
-    float or ndarray
-        wl_perp(B) + zeeman_aa(B, T) at theta = 0, or
-        wl_inplane(B) + zeeman_aa(B, T) at theta = pi/2. The Zeeman term is
-        orientation independent, so the perpendicular minus in-plane
-        difference is the pure WL difference for any F and T.
+    ``orbital_delta_sigma`` at B (field magnitude, T) and theta_deg (0 or 90,
+    degrees from the layer normal) plus ``zeeman_aa`` at the electron
+    temperature T (K). The Zeeman term is orientation independent, so the
+    perpendicular minus in-plane difference is the pure WL difference for
+    any F and T.
     """
-    if math.isclose(theta, 0.0, abs_tol=1e-12):
-        orbital = wl_perp(B, wl)
-    elif math.isclose(theta, math.pi / 2.0, abs_tol=1e-12):
-        orbital = wl_inplane(B, ip)
-    else:
-        raise ValueError("theta must be 0 or pi/2")
+    orbital = orbital_delta_sigma(B, theta_deg, wl.l_phi, wl.l_mfp, ip.gamma)
     return orbital + zeeman_aa(B, T, aa)

@@ -26,12 +26,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import models
 from ._version import __version__
 from .collapse import OrientedCurve, collapse_teff, isolate_aa
-from .constants import G0, Quantity, _number, _pair, from_si, to_si
+from .constants import Quantity, _number, _pair, from_si, to_si
 from .fit import Measured, WlDifferenceFit, fit_coherence_power_law, fit_wl_difference
 from .hall import Geometry, KAPPA_DEFAULT, SamplePhysics, characterize, density_from_hall
+from .models import orbital_delta_sigma
 from .sweepio import SweepRecord, parse_sweep_csv, write_plot_csv
 
 SIGMA0_METHOD = "quadratic extrapolation of the three lowest-|B| points"
@@ -112,13 +112,20 @@ class Dataset:
 
 
 def load_datasets(paths: Sequence, config: AnalysisConfig) -> List[Dataset]:
-    """Parse sweep files and group them into per-sample datasets."""
+    """Parse sweep files and group them into per-sample datasets. A sweep, keyed as
+    the WL stage keys it (sample, T_bath to 9 decimals, theta), sits in one file."""
     sources = []
     records: List[SweepRecord] = []
-    for p in paths:
+    home: Dict[tuple, int] = {}  # sweep key -> index of the file holding it
+    for i, p in enumerate(paths):
         raw = Path(p).read_bytes()
         sources.append((Path(p).name, hashlib.sha256(raw).hexdigest()))
-        records.extend(parse_sweep_csv(p))
+        for r in parse_sweep_csv(p):
+            key = (r.sample_id, round(r.T_bath, 9), r.theta_deg)
+            if home.setdefault(key, i) != i:
+                where = f"sample {key[0]!r}, T_bath = {key[1]:g} K, theta = {key[2]:g} deg"
+                raise ValueError(f"sweep ({where}) is split across {paths[home[key]]} and {p}")
+            records.append(r)
     by_sample: Dict[str, List[SweepRecord]] = {}
     for r in records:
         by_sample.setdefault(r.sample_id, []).append(r)
@@ -462,13 +469,9 @@ def _plot_tables(ds: Dataset, sigma0: list, results: dict) -> dict:
     if "wl" in results:
         wl = results["wl"]
         l_mfp = results["hall"].l_mfp
-        unit = G0 / math.pi
         # the model on each full shared grid, not only the fit window
-        model = [
-            unit * models.wl_perp_shape(np.abs(t.B), t.fit.l_phi.value, l_mfp)
-            - unit * np.log1p(t.fit.gamma.value * t.B * t.B)
-            for t in wl
-        ]
+        fits = [(np.abs(t.B), t.fit.l_phi.value, l_mfp, t.fit.gamma.value) for t in wl]
+        model = [orbital_delta_sigma(B, 0.0, *p) - orbital_delta_sigma(B, 90.0, *p) for B, *p in fits]
         plots["wl_difference"] = [
             ("T_bath_K", np.concatenate([np.full(t.B.size, t.T_bath) for t in wl])),
             ("B_T", np.concatenate([t.B for t in wl])),

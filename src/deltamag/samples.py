@@ -15,10 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .constants import E_CHARGE
+from .constants import E_CHARGE, Quantity, to_si
 from .hall import KAPPA_DEFAULT, SamplePhysics, characterize
 
 Value = Tuple[float, float]  # (value, one-sigma error)
+# column -> unit tag of the lab records
+_UNITS = {"n_2d": "1e13 cm^-2", "mu": "cm^2/Vs", "sigma_xx": "1e-4 S/sq", "l_mfp": "nm",
+          "l_phi": "nm", "delta": "nm", "kf_l": "1"}
 
 
 @dataclass(frozen=True)
@@ -43,16 +46,7 @@ class LayerRecord:
 
     def si(self, name: str) -> float:
         """Central value of a column in base SI units."""
-        factors = {
-            "n_2d": 1e17,      # 1e13 cm^-2 -> m^-2
-            "mu": 1e-4,        # cm^2/Vs -> m^2/Vs
-            "sigma_xx": 1e-4,  # 1e-4 S/sq -> S/sq
-            "l_mfp": 1e-9,
-            "l_phi": 1e-9,
-            "delta": 1e-9,
-            "kf_l": 1.0,
-        }
-        return getattr(self, name)[0] * factors[name]
+        return to_si(Quantity(getattr(self, name)[0], _UNITS[name])).value
 
     def physics(self, kappa: float = KAPPA_DEFAULT) -> SamplePhysics:
         """SamplePhysics derived from the density and mobility columns."""

@@ -5,13 +5,13 @@ The weak-localization lineshape needs psi(1/2 + x) for x from ~1e-9 up to
 be accurate over a wide range and cheap to evaluate on arrays. Each works
 element by element on any shape, and on one sweep's ~100 points a call costs
 mostly fixed overhead, so the lineshape lifts its two arguments as one
-(2, m) array. Every argument (real x > 0, or a complex array with
-Re z > 0) is lifted by ten steps of the recurrences
+(2, m) array. Arguments are real, finite and > 0; a complex one is rejected.
+Every argument is lifted by ten steps of the recurrences
 
     psi(x) = psi(x + 10) - sum_{k<10} 1/(x + k)
     psi1(x) = psi1(x + 10) + sum_{k<10} 1/(x + k)^2,
 
-which put any Re x above 10, where the asymptotic series
+which put any x above 10, where the asymptotic series
 
     psi(x) ~ ln x - 1/(2x) - sum_n B_2n / (2n x^2n)
     psi1(x) ~ 1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1)
@@ -42,24 +42,23 @@ _TAIL_COEFFS = (
 
 def _lift(x, name):
     """x as an array, x + k for k < 10 (one row per point), and x + 10."""
-    if isinstance(x, np.ndarray) and x.dtype.kind == "c":
-        arr, re = x, x.real
-    else:
-        arr = re = np.asarray(x, dtype=float)
-    # nan fails the comparison; isfinite catches inf and a non-finite imaginary part
-    if arr.size and not (re.min() > 0.0 and np.isfinite(arr).all()):
-        raise ValueError(f"{name} requires finite x > 0, or Re x > 0 if complex")
+    if np.iscomplexobj(x):  # a float cast would drop the imaginary part
+        raise ValueError(f"{name} requires real x; complex arguments are not supported")
+    arr = np.asarray(x, dtype=float)
+    # nan fails the comparison; isfinite catches inf
+    if arr.size and not (arr.min() > 0.0 and np.isfinite(arr).all()):
+        raise ValueError(f"{name} requires finite x > 0")
     steps = arr.reshape(-1, 1) + _LIFT
     return arr, steps, steps[:, -1] + 1.0
 
 
 def digamma(x):
-    """Digamma (psi) function for positive real or right-half-plane arguments.
+    """Digamma (psi) function for positive real arguments.
 
     Parameters
     ----------
-    x : float, array_like or complex ndarray
-        Argument(s), must be finite and > 0, or have Re x > 0 if complex.
+    x : float or array_like
+        Argument(s), real, finite and > 0.
 
     Returns
     -------

@@ -175,9 +175,7 @@ def generate_sweep(cfg: SynthConfig, entry: SweepPlanEntry, index: int) -> Sweep
     )
     ip = InPlaneParams(gamma)
     aa = AaParams(F=cfg.F, g_factor=cfg.g_factor)
-    theta = 0.0 if entry.theta_deg == 0.0 else math.pi / 2.0
-
-    d_sigma = total_delta_sigma(np.abs(entry.B), theta, T_eff, wl, ip, aa)
+    d_sigma = total_delta_sigma(np.abs(entry.B), entry.theta_deg, T_eff, wl, ip, aa)
     sigma = cfg.sigma0 + d_sigma
     if np.any(sigma <= 0.0):
         raise ValueError("unphysical configuration: sigma_xx <= 0 on the grid")

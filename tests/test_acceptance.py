@@ -348,8 +348,8 @@ def test_11_aa_isotropy(criterion):
     for T in temps:
         wl = WlParams(lphi(T), l_mfp)
         ip = InPlaneParams(gamma_param(delta, n, lphi(T), l_mfp))
-        for theta_deg, theta in ((0.0, 0.0), (90.0, math.pi / 2.0)):
-            y = total_delta_sigma(np.abs(B), theta, T, wl, ip, aa)
+        for theta_deg in (0.0, 90.0):
+            y = total_delta_sigma(np.abs(B), theta_deg, T, wl, ip, aa)
             s = 0.01 * np.abs(y).max()
             curves.append(
                 OrientedCurve(T, theta_deg, B, y + s * rng.standard_normal(B.size))

@@ -44,8 +44,8 @@ def forward_curves(temps, B, F=0.5, t_sat=0.0):
         T_eff = math.hypot(T, t_sat)
         wl = WlParams(l_phi_at(T_eff), L_MFP)
         ip = InPlaneParams(gamma_param(DELTA, N_2D, l_phi_at(T_eff), L_MFP))
-        for theta_deg, theta in ((0.0, 0.0), (90.0, math.pi / 2)):
-            y = total_delta_sigma(np.abs(B), theta, T_eff, wl, ip, aa)
+        for theta_deg in (0.0, 90.0):
+            y = total_delta_sigma(np.abs(B), theta_deg, T_eff, wl, ip, aa)
             out.append(OrientedCurve(T, theta_deg, B, y))
     return out
 

@@ -37,6 +37,11 @@ def test_unit_conversions():
     assert to_si(Quantity(35.6, "cm^2/Vs")).value == pytest.approx(35.6e-4, rel=1e-15)
     assert to_si(Quantity(3.37, "nm^-1")).value == pytest.approx(3.37e9, rel=1e-15)
     assert to_si(Quantity(200.0, "um")).value == pytest.approx(200e-6, rel=1e-15)
+    # the lab-record units, each one multiplication by its factor
+    for value, unit, si_unit, factor in (
+        (18.73, "1e13 cm^-2", "m^-2", 1e17), (15.6, "1e-4 S/sq", "S/sq", 1e-4), (40.1, "1", "1", 1.0)
+    ):
+        assert to_si(Quantity(value, unit)) == Quantity(value * factor, si_unit)
 
 
 def test_unknown_unit_rejected():

@@ -13,6 +13,7 @@ from deltamag import (
     elastic_field,
     g2,
     gamma_param,
+    orbital_delta_sigma,
     phase_breaking_field,
     reduced_field,
     thickness_from_gamma,
@@ -24,7 +25,7 @@ from deltamag import (
 )
 from deltamag.constants import G0
 from deltamag.models import g2_with_log_slope
-from deltamag.special import _TAIL_COEFFS, digamma, trigamma
+from deltamag.special import _TAIL_COEFFS, digamma
 
 # row-1 layer scale: l_phi = 86 nm, l = 11.7 nm
 P1 = WlParams(l_phi=86e-9, l_mfp=11.7e-9)
@@ -220,6 +221,14 @@ def test_reduced_field_value():
     assert reduced_field(0.0, 1.0) == 0.0
     with pytest.raises(ValueError):
         reduced_field(1.0, 0.0)
+    # one temperature per point is the per-point scalar call
+    B, T = np.array([0.0, 0.3, 2.0, 7.5]), np.array([0.1, 0.6, 0.6, 3.0])
+    want = [reduced_field(b, t, 0.44) for b, t in zip(B, T)]
+    assert reduced_field(B, T, 0.44).tobytes() == np.array(want).tobytes()
+    for bad in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="^reduced_field requires T > 0$"):
+            reduced_field(B, np.r_[T[:3], bad])
+    assert reduced_field(np.empty(0), np.empty(0)).size == 0
     with pytest.raises(ValueError):
         reduced_field(-1.0, 1.0)
 
@@ -299,11 +308,24 @@ def complex_lift(z):
     )
 
 
+# psi1(1 + ic) at these c, from mpmath at 30 digits
+PSI1_AT_1_PLUS_IC = {
+    1e-5: 1.6449340665235295 - 2.4041138059044176e-05j,
+    0.25: 1.4602801851075353 - 0.5416750006713831j,
+    1.0: 0.4630000966227638 - 0.7942335427593189j,
+    3.7: 0.03652300791493568 - 0.2669290150483199j,
+    50.0: 0.0002 - 0.019998666559969507j,
+    1e4: 5e-09 - 9.999999983333333e-05j,
+}
+
+
 def test_complex_lift_reference_is_special_and_scipy():
     z = 1.0 + 1j * np.geomspace(1e-5, 1e4, 400)
-    psi, psi1, _ = complex_lift(z)
-    np.testing.assert_array_equal(psi, digamma(z))
-    np.testing.assert_array_equal(psi1, trigamma(z))
+    ref = scipy.special.psi(z)
+    assert np.max(np.abs(complex_lift(z)[0] - ref) / np.abs(ref)) < 1e-14
+    c = np.array(list(PSI1_AT_1_PLUS_IC))
+    ref = np.array(list(PSI1_AT_1_PLUS_IC.values()))
+    assert np.max(np.abs(complex_lift(1.0 + 1j * c)[1] - ref) / np.abs(ref)) < 1e-14
     x = np.geomspace(1e-3, 1e6, 400)
     ref = scipy.special.polygamma(2, x)
     assert np.max(np.abs(complex_lift(x + 0j)[2].real - ref) / np.abs(ref)) < 1e-14
@@ -367,9 +389,16 @@ def test_total_is_orientation_sum():
     B = np.linspace(0.0, 2.0, 31)
     T = 0.3
     perp = total_delta_sigma(B, 0.0, T, wl, ip, aa)
-    inpl = total_delta_sigma(B, math.pi / 2, T, wl, ip, aa)
+    inpl = total_delta_sigma(B, 90.0, T, wl, ip, aa)
     np.testing.assert_allclose(perp - wl_perp(B, wl), zeeman_aa(B, T, aa), rtol=0, atol=1e-20)
     np.testing.assert_allclose(inpl - wl_inplane(B, ip), zeeman_aa(B, T, aa), rtol=0, atol=1e-20)
+    # the orbital term of each orientation is the channel model, bit for bit
+    for theta_deg, want in ((0.0, wl_perp(B, wl)), (90.0, wl_inplane(B, ip))):
+        got = orbital_delta_sigma(B, theta_deg, wl.l_phi, wl.l_mfp, ip.gamma)
+        assert got.tobytes() == want.tobytes()
+        assert orbital_delta_sigma(0.7, theta_deg, wl.l_phi, wl.l_mfp, ip.gamma) == float(
+            total_delta_sigma(0.7, theta_deg, T, wl, ip, AaParams(F=0.0))
+        )
     # the isotropic term drops out of the orientation difference
     np.testing.assert_allclose(
         perp - inpl, wl_perp(B, wl) - wl_inplane(B, ip), rtol=1e-12, atol=1e-24
@@ -377,5 +406,9 @@ def test_total_is_orientation_sum():
 
 
 def test_total_rejects_other_angles():
-    with pytest.raises(ValueError, match="theta"):
-        total_delta_sigma(1.0, 0.3, 0.5, WlParams(50e-9, 5e-9), InPlaneParams(0.0), AaParams(F=0.5))
+    # degrees only: pi/2 is not the in-plane orientation
+    for theta in (0.3, math.pi / 2, -90.0, 180.0, math.nan):
+        with pytest.raises(ValueError, match="^theta_deg must be 0 or 90$"):
+            total_delta_sigma(1.0, theta, 0.5, WlParams(50e-9, 5e-9), InPlaneParams(0.0), AaParams(F=0.5))
+        with pytest.raises(ValueError, match="^theta_deg must be 0 or 90$"):
+            orbital_delta_sigma(1.0, theta, 50e-9, 5e-9, 0.0)

@@ -21,6 +21,7 @@ from deltamag.sweepio import SweepRecord
 from deltamag import (
     AnalysisConfig,
     Dataset,
+    Measured,
     SweepRecord,
     SynthConfig,
     __version__,
@@ -126,6 +127,45 @@ def test_wl_pooled_thickness(clean_run):
     pooled = clean_run["report"].stages["wl"]["delta_m"]
     assert pooled["value"] == pytest.approx(DELTA_NM * 1e-9, rel=1e-6)
     assert pooled["stderr"] > 0.0
+
+
+def test_wl_pooled_thickness_without_converged_fits(clean_run, monkeypatch):
+    # no per-temperature fit converged: no pooled thickness, nothing downstream
+    real = pipeline.fit_wl_difference
+
+    def unconverged(*args):
+        res = real(*args)
+        return dataclasses.replace(res, fit=dataclasses.replace(res.fit, converged=False, reason="max_iter"))
+
+    monkeypatch.setattr(pipeline, "fit_wl_difference", unconverged)
+    report = run_analysis(clean_run["ds"])
+    stages = json.loads(report.to_json())["stages"]
+    assert stages["wl"]["status"] == "ok"
+    assert stages["wl"]["delta_m"] == {"value": None, "stderr": None}
+    assert stages["powerlaw"] == {
+        "status": "skipped", "reason": "need at least 3 converged fits above T_c = 0.3 K"
+    }
+    assert stages["collapse"] == {
+        "status": "skipped", "reason": "need WL fits at 3 or more temperatures"
+    }
+
+
+def test_wl_pooled_thickness_with_a_zero_stderr(clean_run, monkeypatch):
+    # one fit without a thickness error: the plain mean, with stderr 0
+    real = pipeline.fit_wl_difference
+    deltas = []
+
+    def exact_first(*args):
+        res = real(*args)
+        deltas.append(res.delta.value)
+        if len(deltas) > 1:
+            return res
+        return dataclasses.replace(res, delta=Measured(res.delta.value, 0.0))
+
+    monkeypatch.setattr(pipeline, "fit_wl_difference", exact_first)
+    pooled = run_analysis(clean_run["ds"], ("wl",)).stages["wl"]["delta_m"]
+    assert len(deltas) == len(TEMPS)
+    assert pooled == {"value": float(np.mean(deltas)), "stderr": 0.0}
 
 
 def test_powerlaw_stage(clean_run):
@@ -448,6 +488,37 @@ def test_dataset_rejects_odd_orientation():
     rec = SweepRecord("S1", 0.5, 45.0, [0.0, 0.1, 0.2], [10.0, 10.1, 10.2], None, 1e-9)
     with pytest.raises(ValueError, match="unsupported orientation"):
         Dataset(sample_id="S1", sweeps=[rec], config=AnalysisConfig())
+
+
+def test_sweep_split_across_files_is_rejected(tmp_path, capsys):
+    # a second 0.4 K pair from another noise draw, in a second file: the WL
+    # stage would fit one copy and the collapse pool both
+    noisy = {"relative_sigma": 0.002, "seed": 12}
+    whole = generate_dataset(SynthConfig.from_dict(synth_dict(num=41, noise=noisy)))
+    extra = generate_dataset(
+        SynthConfig.from_dict(synth_dict(temps=(0.4,), num=41, noise={**noisy, "seed": 99}))
+    )
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_sweep_csv(a, whole)
+    write_sweep_csv(b, extra)
+    for first, second in ((a, b), (b, a), (a, a)):
+        message = (
+            f"^sweep \\(sample 'S1', T_bath = 0.4 K, theta = 0 deg\\) is split across "
+            f"{first} and {second}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            load_datasets([first, second], AnalysisConfig())
+    assert main(["report", str(a), str(b), "--out", str(tmp_path / "out")]) == 2
+    assert "is split across" in capsys.readouterr().err
+    # other sweeps may sit in other files
+    c, d = tmp_path / "c.csv", tmp_path / "d.csv"
+    write_sweep_csv(c, whole[2:])
+    write_sweep_csv(d, whole[:2])
+    split = load_datasets([c, d], AnalysisConfig())[0].sweeps
+    one = load_datasets([a], AnalysisConfig())[0].sweeps
+    assert [(s.T_bath, s.theta_deg, s.B.tobytes(), s.R_xx.tobytes()) for s in split] == [
+        (s.T_bath, s.theta_deg, s.B.tobytes(), s.R_xx.tobytes()) for s in one[2:] + one[:2]
+    ]
 
 
 def test_perp_only_degrades_gracefully(tmp_path):

@@ -28,14 +28,6 @@ def test_matches_reference_over_working_range():
     assert np.max(np.abs(trigamma(x) - ref) / ref) < 1e-14
 
 
-def test_complex_digamma_matches_reference():
-    # the Zeeman crossover g2 evaluates psi at z = 1 + ic, c = h/2pi
-    z = np.concatenate([1.0 + 1j * np.geomspace(1e-5, 1e4, 400), [0.3 - 2.0j, 5.0 + 0.5j]])
-    ref = scipy.special.psi(z)
-    assert np.max(np.abs(digamma(z) - ref) / np.abs(ref)) < 1e-14
-    assert isinstance(digamma(np.array(1.0 + 2.0j)), complex)
-
-
 def test_scalar_and_array_shapes():
     grid = [[1.0, 2.0], [3.0, 4.0]]
     pairs = (
@@ -56,18 +48,20 @@ def test_rejects_nonpositive_and_nonfinite():
                 fun(bad)
         with pytest.raises(ValueError):
             fun(np.array([1.0, -2.0]))
+        # complex arguments are rejected in every form, not cast to their real part
         for bad in np.array(
             [-0.5 + 1.0j, 1.0j, complex(1.0, math.inf), complex(math.nan, 1.0), complex(1.0, math.nan)]
         ):
-            with pytest.raises(ValueError, match="Re x > 0 if complex"):
+            with pytest.raises(ValueError, match="complex arguments are not supported"):
                 fun(np.array(bad))
-        with pytest.raises(ValueError, match="Re x > 0 if complex"):
-            fun(np.array([1.0 + 1.0j, complex(math.nan, 0.0)]))
+        for bad in (1.0 + 2.0j, [1.0 + 2.0j], np.array([1.0 + 2.0j]), np.array([2.0 + 0.0j]),
+                    np.array([1.0 + 1.0j, complex(math.nan, 0.0)]), np.empty(0, dtype=complex)):
+            with pytest.raises(ValueError, match="complex arguments are not supported"):
+                fun(bad)
     # a 0-d argument is a scalar, an empty one an empty result
     assert digamma(np.array(2.0)) == digamma(2.0) and isinstance(digamma(np.array(2.0)), float)
     for fun in (digamma, trigamma):
         assert fun(np.empty((0, 3))).shape == (0, 3)
-        assert fun(np.empty(0, dtype=complex)).shape == (0,)
 
 
 @given(st.floats(min_value=1e-2, max_value=1e3))
