@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import E_CHARGE, G0, HBAR
 from .models import elastic_field, phase_breaking_field, thickness_from_gamma, wl_perp_shape
-from .special import trigamma
+from .special import _LIFT, _trigamma_lifted
 
 
 class Measured(NamedTuple):
@@ -198,6 +198,7 @@ def levmar(
     else:
         scale = np.asarray(x_scale, dtype=float)
     scale2 = np.outer(scale, scale)
+    edge = 1e-8 * scale  # a coordinate this close to a bound is at it
 
     def evaluate(q, last_p, last_r):
         r = np.asarray(residual.evaluate(q), dtype=float)
@@ -227,11 +228,12 @@ def levmar(
     while iterations < max_iter:
         # Coordinates pressed against a bound by the gradient are frozen for
         # this step, otherwise the clipped step keeps fighting the box
-        # instead of optimizing the free directions.
-        at_lo = (p - lo) <= 1e-8 * scale
-        at_hi = (hi - p) <= 1e-8 * scale
-        free = ~((at_lo & (g_s > 0.0)) | (at_hi & (g_s < 0.0)))
-        A_f, g_f = (A_s, g_s) if free.all() else (A_s[np.ix_(free, free)], g_s[free])
+        # instead of optimizing the free directions. Clear of every bound, all are free.
+        A_f, g_f = A_s, g_s
+        if not (np.minimum(p - lo, hi - p) > edge).all():
+            free = ~(((p - lo) <= edge) & (g_s > 0.0) | ((hi - p) <= edge) & (g_s < 0.0))
+            if not free.all():
+                A_f, g_f = A_s[np.ix_(free, free)], g_s[free]
         d = A_f.diagonal()
         # the cosine of the angle between r and each free column of J
         if (np.abs(g_f) <= gtol * math.sqrt(2.0 * cost) * np.sqrt(d)).all():
@@ -303,7 +305,7 @@ def levmar(
             reason = "damping"
             break
 
-    bounds_active = ((p - lo) <= 1e-8 * scale) | ((hi - p) <= 1e-8 * scale)
+    bounds_active = ((p - lo) <= edge) | ((hi - p) <= edge)
     return FitResult(
         params=p,
         residual_norm=math.sqrt(2.0 * cost),
@@ -374,22 +376,23 @@ def fit_wl_difference(B, d_sigma, l_mfp: float, n_2d: float) -> WlDifferenceFit:
 
     nz = B > 0.0
     B_pos = B[nz]
+    pos = np.flatnonzero(nz)
     neg_B2 = -B * B
 
     def jacobian(p):
         lphi, gam = p
         # d/d l_phi of psi(1/2 + B_phi/B) + ln(2 l_phi^2/l^2), B_phi ~ l_phi^-2;
-        # the lineshape is identically 0 at B = 0
+        # the lineshape is identically 0 at B = 0. levmar evaluates the residual
+        # at p first, and its digamma has checked these arguments already.
         x = phase_breaking_field(lphi) / B_pos
         J = np.zeros((B.size, 2))
-        J[nz, 0] = (2.0 - 2.0 * x * trigamma(0.5 + x)) / lphi
+        J[pos, 0] = (2.0 - 2.0 * x * _trigamma_lifted((0.5 + x)[:, None] + _LIFT)) / lphi
         J[:, 1] = neg_B2 / (1.0 + gam * B * B)
         return J
 
     # Low-field curvature start for l_phi: for small B the difference curve
     # is quadratic, yn/B^2 ~ 1/(24 B_phi^2) - 1/(24 B_l^2) - gamma.
     b_l = elastic_field(l_mfp)
-    pos = np.flatnonzero(nz)
     if pos.size == 0:
         raise ValueError("all field values are zero")
     k_small = pos[np.argsort(B_pos)][: max(3, B.size // 10)]

@@ -224,9 +224,10 @@ def g2_with_log_slope(h):
     small = c < 0.25  # there 15 terms are exact to rounding; the closed form cancels gamma_E
     if small.any():
         c2 = c[small] ** 2
-        neg_c2, acc = -c2, 0.0
-        for a in _G2_SERIES[::-1]:
-            acc = acc * neg_c2 + a
+        neg_c2, acc = -c2, np.repeat(_G2_SERIES[-1], c2.size, axis=1)
+        for a in _G2_SERIES[-2::-1]:  # in place: the same rounding, no temporaries
+            acc *= neg_c2
+            acc += a
         g[small], slope[small] = c2 * acc
     big = ~small
     if big.any():

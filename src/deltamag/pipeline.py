@@ -112,8 +112,8 @@ class Dataset:
 
 
 def load_datasets(paths: Sequence, config: AnalysisConfig) -> List[Dataset]:
-    """Parse sweep files and group them into per-sample datasets. A sweep, keyed as
-    the WL stage keys it (sample, T_bath to 9 decimals, theta), sits in one file."""
+    """Parse sweep files and group them into per-sample datasets. A sweep key, as the
+    WL stage keys (sample, T_bath to 9 decimals, theta), is read once in all files."""
     sources = []
     records: List[SweepRecord] = []
     home: Dict[tuple, int] = {}  # sweep key -> index of the file holding it
@@ -122,9 +122,11 @@ def load_datasets(paths: Sequence, config: AnalysisConfig) -> List[Dataset]:
         sources.append((Path(p).name, hashlib.sha256(raw).hexdigest()))
         for r in parse_sweep_csv(p):
             key = (r.sample_id, round(r.T_bath, 9), r.theta_deg)
-            if home.setdefault(key, i) != i:
+            j = home.setdefault(key, i)
+            if len(home) == len(records):  # one key per record so far; a seen key adds none
                 where = f"sample {key[0]!r}, T_bath = {key[1]:g} K, theta = {key[2]:g} deg"
-                raise ValueError(f"sweep ({where}) is split across {paths[home[key]]} and {p}")
+                place = f"is split across {paths[j]} and" if j != i else "appears twice in"
+                raise ValueError(f"sweep ({where}) {place} {p}")
             records.append(r)
     by_sample: Dict[str, List[SweepRecord]] = {}
     for r in records:
@@ -216,17 +218,29 @@ def _hall_stage(ds: Dataset, sigma0: list) -> Tuple[dict, SamplePhysics]:
     return section, phys
 
 
+def _field_keys(B):
+    """round(b, 9) of each field b, bitwise: rint(B * 1e9) / 1e9 is that value where
+    B * 1e9 is over 4 ulps from a half-integer, so below 2**49; the rest take round()."""
+    y = B * 1e9
+    k = np.rint(y)
+    keys = k / 1e9
+    odd = ~(np.abs(np.abs(y - k) - 0.5) > 4.0 * np.spacing(np.abs(y)))  # also inf and nan
+    if odd.any():
+        keys[odd] = [round(b, 9) for b in B[odd].tolist()]
+    return keys
+
+
 def _difference_curve(perp: SweepRecord, inpl: SweepRecord, squares: float):
     """Perpendicular minus in-plane conductivity on the shared field grid; a
     field read more than once gives the mean conductivity of its readings."""
 
     def by_field(s: SweepRecord):
         """The distinct fields, ascending, and the conductivity at each."""
-        fields, inverse = np.unique([round(b, 9) for b in s.B.tolist()], return_inverse=True)
+        fields, inverse = np.unique(_field_keys(s.B), return_inverse=True)
         g = np.bincount(inverse, weights=1.0 / s.R_xx)
         return fields, (g / np.bincount(inverse) if fields.size < inverse.size else g)
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # R_xx = 0 is reported by the caller
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # caller reports R_xx = 0
         (b_p, g_p), (b_i, g_i) = by_field(perp), by_field(inpl)
         at = np.searchsorted(b_i, b_p)
         common = np.append(b_i, np.nan)[at] == b_p  # nan past the end matches no field

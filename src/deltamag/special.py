@@ -76,10 +76,16 @@ def digamma(x):
 
 def trigamma(x):
     """Trigamma psi1 = d psi/dx; arguments, shapes and errors as for ``digamma``."""
-    arr, steps, w = _lift(x, "trigamma")
+    arr, steps, _ = _lift(x, "trigamma")
+    result = _trigamma_lifted(steps)
+    return result[0].item() if arr.ndim == 0 else result.reshape(arr.shape)
+
+
+def _trigamma_lifted(steps):
+    """psi1(x) from the lift rows ``steps`` = x + k, k < 10, of an x already checked."""
+    w = steps[:, -1] + 1.0
     z = 1.0 / (w * w)
     tail = 0.0
     for n in range(len(_TAIL_COEFFS), 0, -1):  # B_2n = 2n * _TAIL_COEFFS[n - 1]
         tail = (tail + 2 * n * _TAIL_COEFFS[n - 1]) * z
-    result = (1.0 + 0.5 / w + tail) / w + (1.0 / (steps * steps)).sum(axis=1)
-    return result[0].item() if arr.ndim == 0 else result.reshape(arr.shape)
+    return (1.0 + 0.5 / w + tail) / w + (1.0 / (steps * steps)).sum(axis=1)

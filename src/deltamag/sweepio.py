@@ -203,7 +203,8 @@ def write_plot_csv(path, title: str, columns) -> None:
     n = arrays[0].size if arrays else 0
     if any(a.size != n for a in arrays):
         raise ValueError("plot columns must have equal length")
-    row = ",".join([FLOAT_FMT] * len(arrays))
     lines = [f"# {title}", ",".join(names)]
-    lines.extend(row % cells for cells in zip(*(a.tolist() for a in arrays)))
+    if n:  # one '%' for the table: every cell, row-major, through the same format
+        table = "\n".join([",".join([FLOAT_FMT] * len(arrays))] * n)
+        lines.append(table % tuple(np.column_stack(arrays).ravel().tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import deltamag.pipeline as pipeline
 from deltamag.cli import SECTION_OF, main
-from deltamag.sweepio import SweepRecord
+from deltamag.sweepio import FLOAT_FMT, SweepRecord, write_plot_csv
 from deltamag import (
     AnalysisConfig,
     Dataset,
@@ -372,6 +372,38 @@ def test_plot_tables_of_a_full_run_are_pinned(view_csvs):
     assert set(hall_only.plots) == {"sigma0"}
 
 
+def row_by_row_plot_csv(title, columns) -> bytes:
+    """A plot table as the per-row ``write_plot_csv`` rendered it, one '%' per row."""
+    arrays = [np.asarray(a, dtype=float) for _, a in columns]
+    row = ",".join([FLOAT_FMT] * len(arrays))
+    lines = [f"# {title}", ",".join(name for name, _ in columns)]
+    lines.extend(row % cells for cells in zip(*(a.tolist() for a in arrays)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+EDGE_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 2.0 / 3.0]
+EDGE_TABLES = {
+    "no rows": [("a", []), ("b", [])],
+    "no columns": [],
+    "one row": [("a", [1.5]), ("b", [-0.0]), ("c", [math.nan])],
+    "one column": [("a", EDGE_CELLS)],
+    "edge cells": [("a", EDGE_CELLS), ("b", EDGE_CELLS[::-1]), ("c", np.arange(len(EDGE_CELLS)))],
+}
+
+
+def test_plot_csvs_are_the_row_by_row_rendering(view_csvs, tmp_path):
+    """The one-call table rendering writes the bytes of one '%' per row."""
+    report = run_analysis(load_datasets([view_csvs["DEMO1"]], AnalysisConfig())[0])
+    write_report(report, tmp_path)
+    assert len(report.plots) == 5
+    for key, columns in report.plots.items():
+        want = row_by_row_plot_csv(key.replace("_", " "), columns)
+        assert (tmp_path / f"DEMO1_{key}.csv").read_bytes() == want, key
+    for title, columns in EDGE_TABLES.items():
+        write_plot_csv(tmp_path / "edge.csv", title, columns)
+        assert (tmp_path / "edge.csv").read_bytes() == row_by_row_plot_csv(title, columns), title
+
+
 def test_write_report_files(clean_run, tmp_path):
     report = clean_run["report"]
     json_path = write_report(report, tmp_path)
@@ -519,6 +551,28 @@ def test_sweep_split_across_files_is_rejected(tmp_path, capsys):
     assert [(s.T_bath, s.theta_deg, s.B.tobytes(), s.R_xx.tobytes()) for s in split] == [
         (s.T_bath, s.theta_deg, s.B.tobytes(), s.R_xx.tobytes()) for s in one[2:] + one[:2]
     ]
+
+
+def test_sweep_read_twice_in_one_file_is_rejected(tmp_path, capsys):
+    # a second 0.4 K pair 1e-12 K away, from another noise draw, in the same
+    # file: the parser keeps it apart, while the 9-decimal key would let the WL
+    # stage fit one copy and the collapse pool both
+    noisy = {"relative_sigma": 0.002, "seed": 12}
+    whole = generate_dataset(SynthConfig.from_dict(synth_dict(num=41, noise=noisy)))
+    extra = generate_dataset(
+        SynthConfig.from_dict(synth_dict(temps=(0.4,), num=41, noise={**noisy, "seed": 99}))
+    )
+    for s in extra:
+        s.T_bath += 1e-12
+    a = tmp_path / "a.csv"
+    write_sweep_csv(a, whole + extra)
+    assert len(parse_sweep_csv(a)) == 10
+    message = f"^sweep \\(sample 'S1', T_bath = 0.4 K, theta = 0 deg\\) appears twice in {a}$"
+    with pytest.raises(ValueError, match=message):
+        load_datasets([a], AnalysisConfig())
+    assert main(["report", str(a), "--out", str(tmp_path / "out")]) == 2
+    assert "appears twice in" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_perp_only_degrades_gracefully(tmp_path):
@@ -750,6 +804,25 @@ def test_difference_curve_is_bitwise_the_dict_pairing():
     # the mismatched grids share only the in-plane readbacks of grid[1::4]
     assert pipeline._difference_curve(*cases["mismatched grids"], 7.5)[0].size == 20
     assert np.isnan(pipeline._difference_curve(*cases["R_xx = 0"], 7.5)[1]).sum() == 1
+
+
+NEAR_DECIMALS = st.one_of(
+    st.floats(-1e7, 1e7),  # from 2**49 / 1e9 = 5.6e5 T up, every key takes round()
+    st.integers(-2 * 10**16, 2 * 10**16).map(lambda k: k / 2e9),  # 9-decimal grid and half-way points
+    st.builds(math.nextafter, st.integers(-2 * 10**16, 2 * 10**16).map(lambda k: k / 2e9),
+              st.sampled_from([-math.inf, math.inf])),
+    st.floats(-1e-300, 1e-300),  # subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12, 5e-10, -5e-10]),
+)
+
+
+@given(st.lists(NEAR_DECIMALS, min_size=1, max_size=40))
+@example([0.0003065115, -0.0042839725, 0.0095469355])  # B * 1e9 a half-integer: rint rounds the other way
+@example([9789042.603558287, -9519271.828098733])  # past 2**52: rint of the rounded product is off
+@example([-0.0, 5e-324, -5e-324, -1e-12])
+def test_field_keys_are_round_to_9_decimals(values):
+    want = np.array([round(b, 9) for b in values])
+    assert pipeline._field_keys(np.array(values)).tobytes() == want.tobytes()
 
 
 def test_sigma0_quadratic():

@@ -6,14 +6,17 @@
 Each commit is exported with ``git archive`` into its own fresh directory
 under ``--workdir``. For every seed, each copy writes the ``Demo05`` and
 ``HallSurvey`` inputs of that seed with the parent copy's
-``perfbench/workloads.py`` (sweep CSVs and truth JSONs), so the synthetic
-data of the two commits are compared. Each copy then runs ``deltamag
-report`` on every ``demo05`` input and ``deltamag hall`` on every
-``hall_survey`` input, both on the parent copy's inputs, and keeps the
-report JSONs, the plot CSVs, each command's stdout and the exit codes.
-Every file of the two sides is compared byte for byte; each differing or
-missing file is printed with its first differing line. The exit status is
-1 if any file differs, else 0.
+``perfbench/workloads.py`` (sweep CSVs and truth JSONs), and the curves of
+its ``WlBatch`` inputs as .npy arrays, so the synthetic data of the two
+commits are compared. Each copy then runs ``deltamag report`` on every
+``demo05`` input, ``deltamag hall`` on every ``hall_survey`` input and
+``fit_wl_difference`` on every ``wl_batch`` input, all on the parent copy's
+inputs, and keeps the report JSONs, the plot CSVs, each command's stdout,
+the exit codes and the ``WlBatch.observe`` bytes of each fit (values,
+stderrs, residual norm and iterations). Every file of the two sides is
+compared byte for byte; each differing or missing file is printed with its
+first differing line, and the fits are counted one by one. The exit status
+is 1 if any file differs, else 0.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from bench_pairs import SIDES, export, git
 
 # Runs in one copy with its own src/ on the path: argv is the workloads.py to
@@ -34,6 +39,7 @@ from bench_pairs import SIDES, export, git
 PRODUCE = r"""
 import contextlib, importlib.util, io, json, sys
 from pathlib import Path
+import numpy as np
 import deltamag.cli
 
 workloads_py, seed, inputs, step = sys.argv[1], int(sys.argv[2]), Path(sys.argv[3]), sys.argv[4]
@@ -44,6 +50,9 @@ if step == "write":
     inputs.mkdir()
     wl.Demo05(seed, inputs)
     wl.HallSurvey(seed, inputs)
+    batch = wl.WlBatch(seed, inputs)
+    np.save(inputs / "wl_batch_B.npy", batch.B)
+    np.save(inputs / "wl_batch_inputs.npy", [[l_mfp, n, *y] for y, l_mfp, n, _, _ in batch.inputs])
     sys.exit(0)
 Path("stdout").mkdir()
 codes = {}
@@ -57,6 +66,13 @@ for csv in sorted(inputs.glob("*_sweeps.csv")):
         codes[name] = deltamag.cli.main(cmd)
     Path("stdout", f"{name}.txt").write_text(buf.getvalue())
 Path("exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+B = np.load(inputs / "wl_batch_B.npy")
+fits = wl.WlBatch.__new__(wl.WlBatch)  # observe reads only the fit it is given
+observed = [
+    fits.observe(i, deltamag.fit_wl_difference(B, row[2:], float(row[0]), float(row[1])))[0]
+    for i, row in enumerate(np.load(inputs / "wl_batch_inputs.npy"))
+]
+np.save("wl_batch_observed.npy", np.frombuffer(b"".join(observed)).reshape(len(observed), -1))
 """
 
 
@@ -122,7 +138,10 @@ def main(argv=None) -> int:
         n, diff = compare(outs["parent"], outs["change"])
         total += n
         messages += [f"seed {seed}: {m}" for m in diff]
-        print(f"seed {seed}: {n} files compared, {len(diff)} differ", flush=True)
+        fits = [np.load(outs[side] / "wl_batch_observed.npy") for side in SIDES]
+        fits_differ = sum(a.tobytes() != b.tobytes() for a, b in zip(*fits))
+        print(f"seed {seed}: {n} files compared, {len(diff)} differ; "
+              f"{fits_differ} of {len(fits[0])} wl_batch fits differ", flush=True)
     for m in messages:
         print(m)
     print(f"{total} files compared, {len(messages)} differ")
