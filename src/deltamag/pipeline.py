@@ -4,7 +4,7 @@ Each stage returns its report section and a typed result; later stages and
 the plot tables read those results, so every quantity is derived once. The
 WL stage fits each temperature's difference curve on its own and lists a
 temperature it cannot fit under ``skipped`` (a missing orientation, too few
-shared points, or a non-finite point such as an R_xx of 0). The collapse
+fields in the window, or a non-finite point such as an R_xx of 0). The collapse
 subtracts from each temperature's sweeps that temperature's own WL fit, so
 only temperatures with a converged fit enter it.
 
@@ -32,7 +32,7 @@ from .constants import Quantity, _number, _pair, from_si, to_si
 from .fit import Measured, WlDifferenceFit, fit_coherence_power_law, fit_wl_difference
 from .hall import Geometry, KAPPA_DEFAULT, SamplePhysics, characterize, density_from_hall
 from .models import orbital_delta_sigma
-from .sweepio import SweepRecord, parse_sweep_csv, write_plot_csv
+from .sweepio import SweepRecord, check_sample_id, parse_sweep_csv, write_plot_csv
 
 SIGMA0_METHOD = "quadratic extrapolation of the three lowest-|B| points"
 
@@ -54,6 +54,15 @@ class AnalysisConfig:
     fit_window: Tuple[float, float] = (0.0, 2.0)  # T, on |B|
     kappa: float = KAPPA_DEFAULT     # m^-1
     geometry: Geometry = field(default_factory=lambda: Geometry(200e-6, 20e-6))
+
+    def __post_init__(self):
+        for key, ok, rule in (
+            ("g", self.g_factor > 0.0, "must be positive"),
+            ("kappa_nm", self.kappa > 0.0, "must be positive"),
+            ("fit_window_T", self.fit_window[0] < self.fit_window[1], "needs BMIN < BMAX"),
+        ):
+            if not ok:
+                raise ValueError(f"config key {key!r} {rule}, got {self.to_dict()[key]}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisConfig":
@@ -88,6 +97,15 @@ class AnalysisConfig:
         }
 
 
+def _sweep_key(s: SweepRecord) -> tuple:
+    """(sample, T_bath to 9 decimals, theta): the stages read one sweep per key."""
+    return (s.sample_id, round(s.T_bath, 9), s.theta_deg)
+
+
+def _describe(key: tuple) -> str:
+    return f"sample {key[0]!r}, T_bath = {key[1]:g} K, theta = {key[2]:g} deg"
+
+
 @dataclass
 class Dataset:
     """All sweeps of one sample plus the analysis options.
@@ -101,6 +119,8 @@ class Dataset:
     sources: List[Tuple[str, str]] = field(default_factory=list)  # (name, sha256)
 
     def __post_init__(self):
+        check_sample_id(self.sample_id)  # it names the report files
+        keys = set()
         for s in self.sweeps:
             if s.sample_id != self.sample_id:
                 raise ValueError("sweep sample_id differs from dataset sample_id")
@@ -109,6 +129,10 @@ class Dataset:
                     f"unsupported orientation theta = {s.theta_deg} deg "
                     "(only 0 and 90 are measured)"
                 )
+            key = _sweep_key(s)
+            if key in keys:
+                raise ValueError(f"sweep ({_describe(key)}) appears twice in the dataset")
+            keys.add(key)
 
 
 def load_datasets(paths: Sequence, config: AnalysisConfig) -> List[Dataset]:
@@ -121,12 +145,11 @@ def load_datasets(paths: Sequence, config: AnalysisConfig) -> List[Dataset]:
         raw = Path(p).read_bytes()
         sources.append((Path(p).name, hashlib.sha256(raw).hexdigest()))
         for r in parse_sweep_csv(p):
-            key = (r.sample_id, round(r.T_bath, 9), r.theta_deg)
+            key = _sweep_key(r)
             j = home.setdefault(key, i)
             if len(home) == len(records):  # one key per record so far; a seen key adds none
-                where = f"sample {key[0]!r}, T_bath = {key[1]:g} K, theta = {key[2]:g} deg"
                 place = f"is split across {paths[j]} and" if j != i else "appears twice in"
-                raise ValueError(f"sweep ({where}) {place} {p}")
+                raise ValueError(f"sweep ({_describe(key)}) {place} {p}")
             records.append(r)
     by_sample: Dict[str, List[SweepRecord]] = {}
     for r in records:
@@ -218,39 +241,29 @@ def _hall_stage(ds: Dataset, sigma0: list) -> Tuple[dict, SamplePhysics]:
     return section, phys
 
 
-def _field_keys(B):
-    """round(b, 9) of each field b, bitwise: rint(B * 1e9) / 1e9 is that value where
-    B * 1e9 is over 4 ulps from a half-integer, so below 2**49; the rest take round()."""
-    y = B * 1e9
-    k = np.rint(y)
-    keys = k / 1e9
-    odd = ~(np.abs(np.abs(y - k) - 0.5) > 4.0 * np.spacing(np.abs(y)))  # also inf and nan
-    if odd.any():
-        keys[odd] = [round(b, 9) for b in B[odd].tolist()]
-    return keys
-
-
 def _difference_curve(perp: SweepRecord, inpl: SweepRecord, squares: float):
-    """Perpendicular minus in-plane conductivity on the shared field grid; a
+    """Perpendicular minus in-plane conductivity at each distinct perpendicular field in
+    the in-plane range, the in-plane one linear between its fields (exact at each); a
     field read more than once gives the mean conductivity of its readings."""
 
     def by_field(s: SweepRecord):
         """The distinct fields, ascending, and the conductivity at each."""
-        fields, inverse = np.unique(_field_keys(s.B), return_inverse=True)
+        fields, inverse = np.unique(s.B, return_inverse=True)
         g = np.bincount(inverse, weights=1.0 / s.R_xx)
         return fields, (g / np.bincount(inverse) if fields.size < inverse.size else g)
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # caller reports R_xx = 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # caller reports R_xx = 0
         (b_p, g_p), (b_i, g_i) = by_field(perp), by_field(inpl)
-        at = np.searchsorted(b_i, b_p)
-        common = np.append(b_i, np.nan)[at] == b_p  # nan past the end matches no field
-        d = squares * (g_p[common] - g_i[at[common]])
-    return b_p[common], d
+        if not b_i.size:
+            return np.empty(0), np.empty(0)
+        inside = (b_p >= b_i[0]) & (b_p <= b_i[-1])
+        B = b_p[inside]
+        return B, squares * (g_p[inside] - np.interp(B, b_i, g_i))
 
 
 @dataclass
 class WlTemperature:
-    """One temperature's difference curve on the shared field grid, and its fit."""
+    """One temperature's difference curve at the perpendicular fields, and its fit."""
 
     T_bath: float
     B: np.ndarray
@@ -275,7 +288,8 @@ def _wl_stage(ds: Dataset, sigma0: list, phys: SamplePhysics) -> Tuple[dict, Lis
             continue
         B, d = _difference_curve(pair[0.0], pair[90.0], ds.config.geometry.squares)
         keep = (np.abs(B) >= lo) & (np.abs(B) <= hi)
-        if int(keep.sum()) < 10:
+        b_i = np.abs(np.unique(pair[90.0].B))  # each orientation needs 10 distinct fields
+        if min(int(keep.sum()), int(((b_i >= lo) & (b_i <= hi)).sum())) < 10:
             skipped.append(
                 {"T_bath_K": T_key, "reason": "fewer than 10 shared points in window"}
             )
@@ -352,7 +366,7 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: Sa
     squares = ds.config.geometry.squares
     curves = []
     for s, s0 in zip(ds.sweeps, sigma0):
-        if round(s.T_bath, 9) not in fits or len(s.B) < 3:
+        if round(s.T_bath, 9) not in fits:
             continue
         with np.errstate(divide="ignore"):
             delta_sigma = squares / s.R_xx - _checked(s0)
@@ -483,7 +497,7 @@ def _plot_tables(ds: Dataset, sigma0: list, results: dict) -> dict:
     if "wl" in results:
         wl = results["wl"]
         l_mfp = results["hall"].l_mfp
-        # the model on each full shared grid, not only the fit window
+        # the model on each curve's full field grid, not only the fit window
         fits = [(np.abs(t.B), t.fit.l_phi.value, l_mfp, t.fit.gamma.value) for t in wl]
         model = [orbital_delta_sigma(B, 0.0, *p) - orbital_delta_sigma(B, 90.0, *p) for B, *p in fits]
         plots["wl_difference"] = [

@@ -31,6 +31,14 @@ SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 FLOAT_FMT = "%.12g"
 
 
+def check_sample_id(sample_id: str) -> None:
+    """Reject an id that cannot be one unquoted CSV cell and one file-name
+    part: empty, '.' or '..', or holding a path separator, a comma, a double
+    quote or a line break."""
+    if sample_id in ("", ".", "..") or not set(sample_id).isdisjoint('/\\,"\r\n'):
+        raise ValueError(f"sample_id {sample_id!r} cannot name an output file and one CSV cell")
+
+
 @dataclass
 class SweepRecord:
     """One magnetoconductance sweep at fixed temperature and orientation."""
@@ -44,6 +52,7 @@ class SweepRecord:
     current: float
 
     def __post_init__(self):
+        check_sample_id(self.sample_id)
         self.B = np.asarray(self.B, dtype=float)
         self.R_xx = np.asarray(self.R_xx, dtype=float)
         if self.R_xy is not None:
@@ -52,6 +61,8 @@ class SweepRecord:
                 raise ValueError("R_xy length differs from B")
         if self.B.shape != self.R_xx.shape or self.B.ndim != 1:
             raise ValueError("B and R_xx must be 1-d arrays of equal length")
+        if not np.isfinite(self.B).all():
+            raise ValueError("B must be finite")
         if not self.T_bath > 0.0:
             raise ValueError("T_bath must be positive")
 

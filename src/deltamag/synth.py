@@ -20,7 +20,7 @@ import numpy as np
 from .constants import E_CHARGE, Quantity, _number, to_si
 from .hall import Geometry, mean_free_path
 from .models import AaParams, InPlaneParams, WlParams, gamma_param, total_delta_sigma
-from .sweepio import SweepRecord
+from .sweepio import SweepRecord, check_sample_id
 
 B_MAX_APPARATUS = 2.0   # T, vector-magnet envelope
 T_MIN_APPARATUS = 0.03  # K, cryostat base temperature
@@ -99,6 +99,7 @@ class SynthConfig:
     g_factor: float = 2.0
 
     def __post_init__(self):
+        check_sample_id(self.sample_id)
         if not (self.n_2d > 0.0 and self.mobility > 0.0):
             raise ValueError("n_2d and mobility must be positive")
         if not self.delta >= 0.0:

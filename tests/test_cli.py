@@ -8,6 +8,7 @@ import pytest
 
 from deltamag import SynthConfig, generate_dataset, write_sweep_csv
 from deltamag.cli import main
+from deltamag.sweepio import SWEEP_HEADER
 
 TEMPS = (0.4, 0.7, 1.2)
 
@@ -219,6 +220,52 @@ def test_config_must_be_object(sweeps_csv, tmp_path, capsys, text, message):
     code = main(["hall", str(sweeps_csv), "--config", str(bad)])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ({"g": 0}, [], "'g' must be positive, got 0.0"),
+        ({"g": -2}, [], "'g' must be positive, got -2.0"),
+        ({"kappa_nm": 0.0}, [], "'kappa_nm' must be positive, got 0.0"),
+        ({}, ["--kappa", "-1"], "'kappa_nm' must be positive, got -1.0"),
+        ({"fit_window_T": [1.5, 0.5]}, [], "'fit_window_T' needs BMIN < BMAX, got [1.5, 0.5]"),
+        ({}, ["--fit-window", "1,1"], "'fit_window_T' needs BMIN < BMAX, got [1.0, 1.0]"),
+    ],
+    ids=["g-zero", "g-negative", "kappa-zero", "kappa-flag", "window-reversed", "window-flag-empty"],
+)
+def test_config_out_of_range_is_exit_2(sweeps_csv, tmp_path, capsys, recwarn, config, flags, message):
+    cfg = tmp_path / "analysis.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", str(sweeps_csv), "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert [str(w.message) for w in recwarn] == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ["../escaped", '"a,b"', ".", '"a\nb"'],
+    ids=["parent-path", "comma", "dot", "line-break"],
+)
+def test_unusable_sample_id_is_exit_2(tmp_path, capsys, cell):
+    # the id names the report files and is written back as one unquoted cell
+    data = tmp_path / "in" / "sweeps.csv"
+    data.parent.mkdir()
+    rows = [f"{cell},0.4,0,{b},1000,{b},1e-9" for b in (0.0, 0.5, 1.0)]
+    data.write_text(SWEEP_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["report", str(data), "--out", str(tmp_path / "out")]) == 2
+    assert "cannot name an output file and one CSV cell" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["in", "sweeps.csv"]
+
+
+def test_synth_rejects_an_unusable_sample_id(tmp_path, capsys):
+    cfg = tmp_path / "in" / "config.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps({**config_dict(), "sample_id": "a,b"}), encoding="utf-8")
+    assert main(["synth", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "sample_id 'a,b' cannot name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "in"]
 
 
 @pytest.mark.parametrize(

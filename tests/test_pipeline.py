@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 import deltamag.pipeline as pipeline
 from deltamag.cli import SECTION_OF, main
@@ -522,6 +522,26 @@ def test_dataset_rejects_odd_orientation():
         Dataset(sample_id="S1", sweeps=[rec], config=AnalysisConfig())
 
 
+def test_dataset_rejects_an_unusable_sample_id():
+    with pytest.raises(ValueError, match="cannot name an output file"):
+        Dataset(sample_id="../escaped", sweeps=[], config=AnalysisConfig())
+
+
+def test_dataset_rejects_a_repeated_sweep_key():
+    # a second 0.4 K pair, exactly or below the 9th decimal: the WL stage would
+    # fit one copy and the collapse pool both
+    noisy = {"relative_sigma": 0.002, "seed": 12}
+    whole = generate_dataset(SynthConfig.from_dict(synth_dict(num=41, noise=noisy)))
+    extra = generate_dataset(
+        SynthConfig.from_dict(synth_dict(temps=(0.4,), num=41, noise={**noisy, "seed": 99}))
+    )
+    message = r"^sweep \(sample 'S1', T_bath = 0.4 K, theta = 0 deg\) appears twice in the dataset$"
+    for dT in (0.0, 1e-12):
+        again = [dataclasses.replace(s, T_bath=s.T_bath + dT) for s in extra]
+        with pytest.raises(ValueError, match=message):
+            Dataset(sample_id="S1", sweeps=whole + again, config=AnalysisConfig())
+
+
 def test_sweep_split_across_files_is_rejected(tmp_path, capsys):
     # a second 0.4 K pair from another noise draw, in a second file: the WL
     # stage would fit one copy and the collapse pool both
@@ -761,68 +781,141 @@ def test_difference_curve_averages_repeated_fields(tmp_path):
     assert np.array_equal(d_sigma[once], want)
 
 
+def field_means(s):
+    """Each distinct field of a sweep and the mean conductivity of its readings, by dicts."""
+    readings = {}
+    for b, g in zip(s.B.tolist(), (1.0 / s.R_xx).tolist()):
+        readings.setdefault(b, []).append(g)
+    return {b: sum(gs) / len(gs) for b, gs in readings.items()}
+
+
 def dict_difference_curve(perp, inpl, squares):
-    """The pairing through per-field dicts that _difference_curve replaced."""
-
-    def by_field(s):
-        readings = {}
-        for b, g in zip(s.B.tolist(), (1.0 / s.R_xx).tolist()):
-            readings.setdefault(round(b, 9), []).append(g)
-        return {b: sum(gs) / len(gs) for b, gs in readings.items()}
-
+    """The difference on the fields both sweeps read exactly, paired through dicts."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_p, g_i = by_field(perp), by_field(inpl)
+        g_p, g_i = field_means(perp), field_means(inpl)
         common = sorted(g_p.keys() & g_i.keys())
         d = squares * (np.array([g_p[b] for b in common]) - np.array([g_i[b] for b in common]))
     return np.array(common, dtype=float), d
 
 
+def interp_difference_curve(perp, inpl, squares):
+    """The difference at each perpendicular field inside the in-plane range, the
+    in-plane per-field means interpolated there by np.interp."""
+    g_p, g_i = field_means(perp), field_means(inpl)
+    b_i = sorted(g_i)
+    B = np.array([b for b in sorted(g_p) if b_i[0] <= b <= b_i[-1]])
+    d = squares * (np.array([g_p[b] for b in B]) - np.interp(B, b_i, [g_i[b] for b in b_i]))
+    return B, d
+
+
+def difference_sweep(rng, theta, B, R_xx=None):
+    R_xx = 100.0 * (1.0 + 0.01 * rng.standard_normal(len(B))) if R_xx is None else R_xx
+    return SweepRecord("S", 0.4, theta, B, R_xx, None, 1e-8)
+
+
+def assert_bitwise(got, want, name):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 def test_difference_curve_is_bitwise_the_dict_pairing():
+    # on fields the two orientations read exactly alike, np.interp returns the
+    # in-plane knot values, so the curve is the exact pairing bit for bit
     rng = np.random.default_rng(21)
-
-    def sweep(theta, B, R_xx=None):
-        R_xx = 100.0 * (1.0 + 0.01 * rng.standard_normal(len(B))) if R_xx is None else R_xx
-        return SweepRecord("S", 0.4, theta, B, R_xx, None, 1e-8)
-
     grid = np.linspace(-2.0, 2.0, 81)
-    down = grid[::-1] + 3e-10  # a down sweep; readbacks within round(B, 9)
-    shifted = np.r_[grid[::2] + 1e-6, grid[1::4], 2.5]  # off-grid readbacks, a field past the end
     repeated = np.r_[grid[:50], 0.0, 0.0, grid[10:30:3], -0.05]
     zero_cell = 100.0 * np.ones(81)
     zero_cell[[7, 40]] = 0.0
     cases = {
-        "shared grid": (sweep(0.0, grid), sweep(90.0, down)),
-        "mismatched grids": (sweep(0.0, grid), sweep(90.0, shifted)),
-        "repeated readings": (sweep(0.0, repeated), sweep(90.0, np.r_[repeated[::-1], 0.0])),
-        "R_xx = 0": (sweep(0.0, grid, zero_cell), sweep(90.0, grid, np.where(grid == 0.0, 0.0, 99.0))),
+        "shared grid": (grid, grid[::-1], None, None),  # the in-plane sweep runs down
+        "repeated readings": (repeated, np.r_[repeated[::-1], 0.0], None, None),
+        "R_xx = 0": (grid, grid, zero_cell, np.where(grid == 0.0, 0.0, 99.0)),
     }
-    for name, (perp, inpl) in cases.items():
+    for name, (b_p, b_i, r_p, r_i) in cases.items():
+        perp, inpl = difference_sweep(rng, 0.0, b_p, r_p), difference_sweep(rng, 90.0, b_i, r_i)
         got = pipeline._difference_curve(perp, inpl, 7.5)
-        want = dict_difference_curve(perp, inpl, 7.5)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    # the mismatched grids share only the in-plane readbacks of grid[1::4]
-    assert pipeline._difference_curve(*cases["mismatched grids"], 7.5)[0].size == 20
-    assert np.isnan(pipeline._difference_curve(*cases["R_xx = 0"], 7.5)[1]).sum() == 1
+        assert_bitwise(got, dict_difference_curve(perp, inpl, 7.5), name)
+        if name == "R_xx = 0":  # each zero marks only its own point
+            assert np.isnan(got[1]).sum() == 1 and np.isinf(got[1]).sum() == 1
 
 
-NEAR_DECIMALS = st.one_of(
-    st.floats(-1e7, 1e7),  # from 2**49 / 1e9 = 5.6e5 T up, every key takes round()
-    st.integers(-2 * 10**16, 2 * 10**16).map(lambda k: k / 2e9),  # 9-decimal grid and half-way points
-    st.builds(math.nextafter, st.integers(-2 * 10**16, 2 * 10**16).map(lambda k: k / 2e9),
-              st.sampled_from([-math.inf, math.inf])),
-    st.floats(-1e-300, 1e-300),  # subnormals included
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12, 5e-10, -5e-10]),
-)
+def test_difference_curve_interpolates_the_in_plane_sweep():
+    rng = np.random.default_rng(21)
+    grid = np.linspace(-2.0, 2.0, 81)
+    cases = {
+        # a down sweep whose readbacks sit 3e-10 T above the perpendicular fields
+        "readback offset": (grid[::-1] + 3e-10, 80),
+        # off-grid readbacks and a field past the end: B = -2 T is below the in-plane range
+        "mismatched grids": (np.r_[grid[::2] + 1e-6, grid[1::4], 2.5], 80),
+    }
+    perp = difference_sweep(rng, 0.0, grid)
+    for name, (b_i, size) in cases.items():
+        inpl = difference_sweep(rng, 90.0, b_i)
+        got = pipeline._difference_curve(perp, inpl, 7.5)
+        assert_bitwise(got, interp_difference_curve(perp, inpl, 7.5), name)
+        assert got[0].size == size, name
+        np.testing.assert_array_equal(got[0], grid[1:])
+    # an in-plane conductivity linear in B is interpolated exactly
+    inpl = difference_sweep(rng, 90.0, grid[::3] + 1e-6, 1.0 / (0.01 + 1e-4 * (grid[::3] + 1e-6)))
+    B, d = pipeline._difference_curve(perp, inpl, 7.5)
+    g_p = 1.0 / perp.R_xx[np.searchsorted(grid, B)]
+    np.testing.assert_allclose(d, 7.5 * (g_p - 0.01 - 1e-4 * B), rtol=1e-12)
+    # an empty sweep overlaps nothing
+    empty = difference_sweep(rng, 90.0, [])
+    for pair in ((perp, empty), (empty, perp), (empty, empty)):
+        B, d = pipeline._difference_curve(*pair, 7.5)
+        assert B.size == d.size == 0
 
 
-@given(st.lists(NEAR_DECIMALS, min_size=1, max_size=40))
-@example([0.0003065115, -0.0042839725, 0.0095469355])  # B * 1e9 a half-integer: rint rounds the other way
-@example([9789042.603558287, -9519271.828098733])  # past 2**52: rint of the rounded product is off
-@example([-0.0, 5e-324, -5e-324, -1e-12])
-def test_field_keys_are_round_to_9_decimals(values):
-    want = np.array([round(b, 9) for b in values])
-    assert pipeline._field_keys(np.array(values)).tobytes() == want.tobytes()
+def jittered(sweeps, seed):
+    """The sweeps with each in-plane readback 1 uT above or below its field."""
+    rng = np.random.default_rng(seed)
+    return [
+        dataclasses.replace(s, B=s.B + 1e-6 * rng.choice([-1.0, 1.0], s.B.size))
+        if s.theta_deg == 90.0 else s
+        for s in sweeps
+    ]
+
+
+@pytest.mark.parametrize("seed", [12, 13])
+def test_jittered_in_plane_readbacks_fit_every_temperature(seed):
+    """In-plane readbacks 1 uT off the perpendicular fields share no field with
+    them; interpolating the in-plane sweep still fits every temperature, and
+    l_phi and delta agree with the fit on aligned fields within one stderr."""
+    cfg = SynthConfig.from_dict(
+        synth_dict(temps=(0.1, 0.2, 0.4, 0.7, 1.0), t_sat_K=0.25,
+                   noise={"relative_sigma": 0.002, "seed": seed})
+    )
+    sweeps = generate_dataset(cfg)
+    aligned, shifted = (
+        run_analysis(Dataset("S1", sw, AnalysisConfig()), ("wl",)).stages["wl"]
+        for sw in (sweeps, jittered(sweeps, seed))
+    )
+    assert shifted["status"] == aligned["status"] == "ok"
+    assert shifted["skipped"] == []
+    assert len(shifted["per_temperature"]) == len(aligned["per_temperature"]) == 5
+    for a, j in zip(aligned["per_temperature"], shifted["per_temperature"]):
+        assert j["T_bath_K"] == a["T_bath_K"] and j["converged"]
+        assert j["n_points"] >= 79  # a readback above -2 T or below 2 T drops that end
+        for key in ("l_phi_m", "delta_m"):
+            assert abs(j[key]["value"] - a[key]["value"]) <= j[key]["stderr"], key
+    delta = shifted["delta_m"]
+    assert abs(delta["value"] - aligned["delta_m"]["value"]) <= delta["stderr"]
+
+
+def test_sparse_in_plane_sweep_is_skipped():
+    # the 0.7 K in-plane sweep reads 9 distinct fields, each twice: interpolation
+    # would cover all 81 perpendicular fields, but does not stand in for it
+    sweeps = generate_dataset(SynthConfig.from_dict(synth_dict()))
+    sparse = [
+        dataclasses.replace(s, B=np.repeat(s.B[::10], 2), R_xx=np.repeat(s.R_xx[::10], 2))
+        if (s.T_bath, s.theta_deg) == (0.7, 90.0) else s
+        for s in sweeps
+    ]
+    wl = run_analysis(Dataset("S1", sparse, AnalysisConfig()), ("wl",)).stages["wl"]
+    assert wl["status"] == "ok"
+    assert [f["T_bath_K"] for f in wl["per_temperature"]] == [0.4, 1.0, 1.5]
+    assert wl["skipped"] == [{"T_bath_K": 0.7, "reason": "fewer than 10 shared points in window"}]
 
 
 def test_sigma0_quadratic():

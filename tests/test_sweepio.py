@@ -163,6 +163,26 @@ def test_empty_sample_id_rejected(tmp_path):
         parse_sweep_csv(p)
 
 
+@pytest.mark.parametrize("sample_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a,b", 'a"b', "a\nb", "a\rb"])
+def test_unusable_sample_id_rejected(sample_id):
+    with pytest.raises(ValueError, match="cannot name an output file and one CSV cell"):
+        SweepRecord(sample_id, 0.3, 0.0, [0.0, 1.0], [1000.0, 1010.0], None, 1e-9)
+
+
+@pytest.mark.parametrize("sample_id", ["S1", "a.b", "...", "a b", "δ-1"])
+def test_usable_sample_id_round_trips(tmp_path, sample_id):
+    rec = SweepRecord(sample_id, 0.3, 0.0, [0.0, 1.0], [1000.0, 1010.0], None, 1e-9)
+    path = tmp_path / f"{sample_id}_sweeps.csv"
+    write_sweep_csv(path, [rec])
+    assert [r.sample_id for r in parse_sweep_csv(path)] == [sample_id]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_field_rejected(bad):
+    with pytest.raises(ValueError, match="B must be finite"):
+        SweepRecord("S1", 0.3, 0.0, [0.0, bad], [1000.0, 1010.0], None, 1e-9)
+
+
 def test_sweeps_split_by_identity(tmp_path):
     p = tmp_path / "multi.csv"
     rows = ["S1,0.3,0,%g,1000,%g,1e-9" % (b, b) for b in (0.0, 1.0)]
