@@ -54,7 +54,6 @@ from .fit import (
 from .collapse import (
     AaCurve,
     CollapseResult,
-    OrientedCurve,
     collapse_teff,
     dispersion,
     isolate_aa,
@@ -92,7 +91,6 @@ __all__ = [
     "LayerRecord",
     "LinearFit",
     "Measured",
-    "OrientedCurve",
     "PowerLawFit",
     "Quantity",
     "REFERENCE_LAYERS",

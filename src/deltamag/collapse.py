@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -40,23 +40,6 @@ def _curve_arrays(B, delta_sigma):
 
 
 @dataclass
-class OrientedCurve:
-    """Measured conductivity correction vs field at one (T_bath, theta)."""
-
-    T_bath: float
-    theta_deg: float
-    B: np.ndarray
-    delta_sigma: np.ndarray
-
-    def __post_init__(self):
-        self.B, self.delta_sigma = _curve_arrays(self.B, self.delta_sigma)
-        if self.theta_deg not in (0.0, 90.0):
-            raise ValueError("theta_deg must be 0 or 90")
-        if not self.T_bath > 0.0:
-            raise ValueError("T_bath must be positive")
-
-
-@dataclass
 class AaCurve:
     """Interaction residue vs field at one bath temperature."""
 
@@ -74,30 +57,24 @@ class AaCurve:
 
 
 def isolate_aa(
-    curves: Sequence[OrientedCurve], wl_fits: Mapping[float, Tuple[float, float]], l_mfp: float
-) -> List[AaCurve]:
-    """Subtract from each curve the WL model fitted at its temperature.
+    T_bath: float, sweeps: Sequence[Tuple[float, np.ndarray, np.ndarray]],
+    l_phi: float, gamma: float, l_mfp: float,
+) -> AaCurve:
+    """The interaction residue of one temperature's sweeps.
 
-    ``wl_fits`` maps T_bath, rounded to 9 decimals, to the (l_phi, gamma)
-    fitted at that temperature; every curve's temperature must be a key.
-    Perpendicular curves lose the digamma WL term, in-plane curves the
-    log-quadratic orbital term; what remains is the isotropic interaction
-    correction in both cases, so the curves at one bath temperature merge
-    into a single AaCurve.
-
-    Returns AaCurve list sorted by T_bath.
+    ``sweeps`` holds one (theta_deg, B, delta_sigma) per sweep, and
+    (l_phi, gamma) is the WL fit of that temperature. Each perpendicular
+    sweep loses the digamma WL term, each in-plane sweep the log-quadratic
+    orbital term; what remains is the isotropic interaction correction in
+    both cases, so the sweeps, in the given order, merge into one AaCurve.
+    Each sweep's B and delta_sigma are checked before the model sees them.
     """
-    groups = {}
-    for c in curves:
-        key = round(c.T_bath, 9)
-        l_phi, gamma = wl_fits[key]
-        model = orbital_delta_sigma(np.abs(c.B), c.theta_deg, l_phi, l_mfp, gamma)
-        T, Bs, rs = groups.setdefault(key, (c.T_bath, [], []))
-        Bs.append(c.B)
-        rs.append(c.delta_sigma - model)
-    out = [AaCurve(T, np.concatenate(Bs), np.concatenate(rs)) for T, Bs, rs in groups.values()]
-    out.sort(key=lambda c: c.T_bath)
-    return out
+    Bs, residues = [], []
+    for theta_deg, B, delta_sigma in sweeps:
+        B, delta_sigma = _curve_arrays(B, delta_sigma)
+        Bs.append(B)
+        residues.append(delta_sigma - orbital_delta_sigma(np.abs(B), theta_deg, l_phi, l_mfp, gamma))
+    return AaCurve(T_bath, np.concatenate(Bs), np.concatenate(residues))
 
 
 def _pooled_points(curves, t_eff, g_factor):

@@ -27,7 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ._version import __version__
-from .collapse import OrientedCurve, collapse_teff, isolate_aa
+from .collapse import collapse_teff, isolate_aa
 from .constants import Quantity, _number, _pair, from_si, to_si
 from .fit import Measured, WlDifferenceFit, fit_coherence_power_law, fit_wl_difference
 from .hall import Geometry, KAPPA_DEFAULT, SamplePhysics, characterize, density_from_hall
@@ -263,20 +263,22 @@ def _difference_curve(perp: SweepRecord, inpl: SweepRecord, squares: float):
 
 @dataclass
 class WlTemperature:
-    """One temperature's difference curve at the perpendicular fields, and its fit."""
+    """One temperature's difference curve at the perpendicular fields, its fit, and
+    the indices in ``Dataset.sweeps`` of its two sweeps, the ones the collapse pools."""
 
     T_bath: float
     B: np.ndarray
     d_sigma: np.ndarray
     fit: WlDifferenceFit
+    sweeps: Tuple[int, int]  # ascending
 
 
 def _wl_stage(ds: Dataset, sigma0: list, phys: SamplePhysics) -> Tuple[dict, List[WlTemperature]]:
     lo, hi = ds.config.fit_window
 
-    by_T: Dict[float, Dict[float, SweepRecord]] = {}
-    for s in ds.sweeps:
-        by_T.setdefault(round(s.T_bath, 9), {}).setdefault(s.theta_deg, s)
+    by_T: Dict[float, Dict[float, int]] = {}  # T_bath key -> theta -> sweep index
+    for i, s in enumerate(ds.sweeps):
+        by_T.setdefault(_sweep_key(s)[1], {}).setdefault(s.theta_deg, i)
 
     fitted: List[WlTemperature] = []
     rows = []
@@ -286,9 +288,10 @@ def _wl_stage(ds: Dataset, sigma0: list, phys: SamplePhysics) -> Tuple[dict, Lis
         if 0.0 not in pair or 90.0 not in pair:
             skipped.append({"T_bath_K": T_key, "reason": "missing orientation pair"})
             continue
-        B, d = _difference_curve(pair[0.0], pair[90.0], ds.config.geometry.squares)
+        perp, inpl = ds.sweeps[pair[0.0]], ds.sweeps[pair[90.0]]
+        B, d = _difference_curve(perp, inpl, ds.config.geometry.squares)
         keep = (np.abs(B) >= lo) & (np.abs(B) <= hi)
-        b_i = np.abs(np.unique(pair[90.0].B))  # each orientation needs 10 distinct fields
+        b_i = np.abs(np.unique(inpl.B))  # each orientation needs 10 distinct fields
         if min(int(keep.sum()), int(((b_i >= lo) & (b_i <= hi)).sum())) < 10:
             skipped.append(
                 {"T_bath_K": T_key, "reason": "fewer than 10 shared points in window"}
@@ -300,7 +303,7 @@ def _wl_stage(ds: Dataset, sigma0: list, phys: SamplePhysics) -> Tuple[dict, Lis
             skipped.append({"T_bath_K": T_key, "reason": reason})
             continue
         res = fit_wl_difference(B[keep], d[keep], phys.l_mfp, phys.n_2d)
-        fitted.append(WlTemperature(T_key, B, d, res))
+        fitted.append(WlTemperature(T_key, B, d, res, tuple(sorted(pair.values()))))
         rows.append(
             {
                 "T_bath_K": T_key,
@@ -357,25 +360,26 @@ def _powerlaw_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature]):
 
 
 def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: SamplePhysics):
-    # each temperature's residue is taken with its own WL fit; a temperature
-    # without a converged fit stays out of the collapse
-    fits = {t.T_bath: (t.fit.l_phi.value, t.fit.gamma.value) for t in wl if t.fit.fit.converged}
-    if len(fits) < 3:
+    # each temperature's residue is taken with its own WL fit from the two sweeps
+    # that fit paired; a temperature without a converged fit stays out
+    converged = [t for t in wl if t.fit.fit.converged]
+    if len(converged) < 3:
         raise MissingDataError("need WL fits at 3 or more temperatures")
-    # measured Delta sigma(B) per sweep, baseline removed per sweep
     squares = ds.config.geometry.squares
-    curves = []
-    for s, s0 in zip(ds.sweeps, sigma0):
-        if round(s.T_bath, 9) not in fits:
-            continue
-        with np.errstate(divide="ignore"):
-            delta_sigma = squares / s.R_xx - _checked(s0)
-        bad = ~np.isfinite(delta_sigma)
-        if bad.any():  # the WL stage checks only the points inside its fit window
-            where = f"T_bath = {s.T_bath:g} K, theta = {s.theta_deg:g} deg, B = {s.B[bad][0]:g} T"
-            raise ValueError(f"non-finite conductivity at {where} (R_xx = 0?)")
-        curves.append(OrientedCurve(s.T_bath, s.theta_deg, s.B, delta_sigma))
-    aa = isolate_aa(curves, fits, phys.l_mfp)
+    aa = []
+    for t in converged:
+        sweeps = []  # measured Delta sigma(B) per sweep, baseline removed per sweep
+        for k in t.sweeps:
+            s = ds.sweeps[k]
+            with np.errstate(divide="ignore"):
+                delta_sigma = squares / s.R_xx - _checked(sigma0[k])
+            bad = ~np.isfinite(delta_sigma)
+            if bad.any():  # the WL stage checks only the points inside its fit window
+                where = f"T_bath = {s.T_bath:g} K, theta = {s.theta_deg:g} deg, B = {s.B[bad][0]:g} T"
+                raise ValueError(f"non-finite conductivity at {where} (R_xx = 0?)")
+            sweeps.append((s.theta_deg, s.B, delta_sigma))
+        T_bath = ds.sweeps[t.sweeps[0]].T_bath  # as read, not the 9-decimal key
+        aa.append(isolate_aa(T_bath, sweeps, t.fit.l_phi.value, t.fit.gamma.value, phys.l_mfp))
 
     result = collapse_teff(aa, g_factor=ds.config.g_factor)
     section = {

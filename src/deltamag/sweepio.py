@@ -33,9 +33,11 @@ FLOAT_FMT = "%.12g"
 
 def check_sample_id(sample_id: str) -> None:
     """Reject an id that cannot be one unquoted CSV cell and one file-name
-    part: empty, '.' or '..', or holding a path separator, a comma, a double
-    quote or a line break."""
-    if sample_id in ("", ".", "..") or not set(sample_id).isdisjoint('/\\,"\r\n'):
+    part: empty, '.' or '..', with leading or trailing blanks (the parser
+    strips them), or holding a path separator, a comma, a double quote or a
+    line break."""
+    bad = sample_id in ("", ".", "..") or sample_id != sample_id.strip()
+    if bad or not set(sample_id).isdisjoint('/\\,"\r\n'):
         raise ValueError(f"sample_id {sample_id!r} cannot name an output file and one CSV cell")
 
 

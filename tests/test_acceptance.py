@@ -16,7 +16,6 @@ from deltamag import (
     AaParams,
     G0,
     InPlaneParams,
-    OrientedCurve,
     REFERENCE_LAYERS,
     WlParams,
     collapse_teff,
@@ -344,23 +343,17 @@ def test_11_aa_isotropy(criterion):
     B = np.linspace(-2.0, 2.0, 41)
     aa = AaParams(F=0.5)
     rng = np.random.default_rng(11)
-    curves, sigmas = [], {}
+    by, sigmas = {}, {}
     for T in temps:
         wl = WlParams(lphi(T), l_mfp)
         ip = InPlaneParams(gamma_param(delta, n, lphi(T), l_mfp))
         for theta_deg in (0.0, 90.0):
             y = total_delta_sigma(np.abs(B), theta_deg, T, wl, ip, aa)
             s = 0.01 * np.abs(y).max()
-            curves.append(
-                OrientedCurve(T, theta_deg, B, y + s * rng.standard_normal(B.size))
-            )
+            sweep = (theta_deg, B, y + s * rng.standard_normal(B.size))
+            # one orientation per call, so the two residues at a temperature stay apart
+            by[(T, theta_deg)] = isolate_aa(T, [sweep], wl.l_phi, ip.gamma, l_mfp).delta_sigma
             sigmas[(T, theta_deg)] = s
-    fits = {T: (lphi(T), gamma_param(delta, n, lphi(T), l_mfp)) for T in temps}
-    # one orientation per call, so the two residues at a temperature stay apart
-    by = {
-        (oc.T_bath, oc.theta_deg): isolate_aa([oc], fits, l_mfp)[0].delta_sigma
-        for oc in curves
-    }
     z_max = 0.0
     for T in temps:
         s = math.hypot(sigmas[(T, 0.0)], sigmas[(T, 90.0)])

@@ -268,6 +268,17 @@ def test_synth_rejects_an_unusable_sample_id(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "in"]
 
 
+@pytest.mark.parametrize("sample_id", [" S1", "S1 "])
+def test_synth_rejects_a_sample_id_with_surrounding_blanks(tmp_path, capsys, sample_id):
+    # the parser strips every cell, so the written CSV would read back as 'S1'
+    cfg = tmp_path / "in" / "config.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps({**config_dict(), "sample_id": sample_id}), encoding="utf-8")
+    assert main(["synth", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"sample_id {sample_id!r} cannot name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "in"]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -7,7 +7,6 @@ from deltamag import (
     AaCurve,
     AaParams,
     InPlaneParams,
-    OrientedCurve,
     WlParams,
     collapse_teff,
     dispersion,
@@ -32,22 +31,17 @@ def l_phi_at(T):
     return AMP * T**-0.31
 
 
-def true_fits(temps):
-    """The exact (l_phi, gamma) of each temperature, as isolate_aa takes them."""
-    return {T: (l_phi_at(T), gamma_param(DELTA, N_2D, l_phi_at(T), L_MFP)) for T in temps}
+def true_fit(T):
+    """The exact (l_phi, gamma) at T, as isolate_aa takes them."""
+    return l_phi_at(T), gamma_param(DELTA, N_2D, l_phi_at(T), L_MFP)
 
 
-def forward_curves(temps, B, F=0.5, t_sat=0.0):
+def forward_sweeps(T, B, F=0.5):
+    """The (theta_deg, B, delta_sigma) of both orientations at temperature T."""
+    wl = WlParams(l_phi_at(T), L_MFP)
+    ip = InPlaneParams(true_fit(T)[1])
     aa = AaParams(F=F)
-    out = []
-    for T in temps:
-        T_eff = math.hypot(T, t_sat)
-        wl = WlParams(l_phi_at(T_eff), L_MFP)
-        ip = InPlaneParams(gamma_param(DELTA, N_2D, l_phi_at(T_eff), L_MFP))
-        for theta_deg in (0.0, 90.0):
-            y = total_delta_sigma(np.abs(B), theta_deg, T_eff, wl, ip, aa)
-            out.append(OrientedCurve(T, theta_deg, B, y))
-    return out
+    return [(th, B, total_delta_sigma(np.abs(B), th, T, wl, ip, aa)) for th in (0.0, 90.0)]
 
 
 # ----------------------------------------------------------------- isolate_aa
@@ -55,10 +49,9 @@ def forward_curves(temps, B, F=0.5, t_sat=0.0):
 def test_residue_is_exactly_the_isotropic_part():
     temps = [0.1, 0.3, 0.6]
     B = np.linspace(-2.0, 2.0, 41)
-    curves = forward_curves(temps, B)
-    aa_curves = isolate_aa(curves, true_fits(temps), L_MFP)
-    assert len(aa_curves) == 3
-    for c in aa_curves:
+    for T in temps:
+        c = isolate_aa(T, forward_sweeps(T, B), *true_fit(T), L_MFP)
+        assert c.T_bath == T
         assert c.B.size == 2 * B.size  # both orientations merged
         expect = zeeman_aa(c.B, c.T_bath, AaParams(F=0.5))
         np.testing.assert_allclose(c.delta_sigma, expect, rtol=0, atol=1e-18)
@@ -67,21 +60,19 @@ def test_residue_is_exactly_the_isotropic_part():
 def test_residue_unmerged_keeps_orientations():
     temps = [0.2, 0.4, 0.8]
     B = np.linspace(-1.0, 1.0, 11)
-    curves = forward_curves(temps, B)
-    for oc in curves:
-        (ac,) = isolate_aa([oc], true_fits(temps), L_MFP)
-        assert ac.T_bath == oc.T_bath
-        np.testing.assert_array_equal(ac.B, oc.B)
-        expect = zeeman_aa(ac.B, ac.T_bath, AaParams(F=0.5))
-        np.testing.assert_allclose(ac.delta_sigma, expect, rtol=0, atol=1e-18)
+    for T in temps:
+        for sweep in forward_sweeps(T, B):
+            ac = isolate_aa(T, [sweep], *true_fit(T), L_MFP)
+            np.testing.assert_array_equal(ac.B, sweep[1])
+            expect = zeeman_aa(ac.B, T, AaParams(F=0.5))
+            np.testing.assert_allclose(ac.delta_sigma, expect, rtol=0, atol=1e-18)
 
 
 def test_thin_layer_inplane_residue_is_the_data():
     # gamma = 0 means the in-plane orbital model is identically zero
     B = np.linspace(0.0, 2.0, 21)
     y = zeeman_aa(B, 0.5, AaParams(F=0.4))
-    curve = OrientedCurve(0.5, 90.0, B, y)
-    (res,) = isolate_aa([curve], {0.5: (3e-8, 0.0)}, 3e-9)
+    res = isolate_aa(0.5, [(90.0, B, y)], 3e-8, 0.0, 3e-9)
     np.testing.assert_array_equal(res.delta_sigma, y)
 
 
@@ -93,7 +84,10 @@ def test_curves_reject_nonfinite_points():
         for k in (0, 1):
             arrays = [B.copy(), np.ones(9)]
             arrays[k][3] = bad
-            for make in (lambda B, y: OrientedCurve(0.3, 0.0, B, y), lambda B, y: AaCurve(0.3, B, y)):
+            for make in (
+                lambda B, y: isolate_aa(0.3, [(0.0, B, y)], *true_fit(0.3), L_MFP),
+                lambda B, y: AaCurve(0.3, B, y),
+            ):
                 with pytest.raises(ValueError, match="B and delta_sigma must be finite"):
                     make(*arrays)
 

@@ -197,6 +197,51 @@ def test_collapse_stage(clean_run):
     assert col["F"]["value"] == pytest.approx(F_TRUE, abs=5e-3)
 
 
+def collapse_points_per_temperature(report):
+    """{T_bath as the collapse holds it: pooled nonzero-field points}."""
+    T, counts = np.unique(dict(report.plots["aa_collapse"])["T_bath_K"], return_counts=True)
+    return dict(zip(T.tolist(), counts.tolist()))
+
+
+def test_collapse_pools_a_pair_read_below_the_9th_decimal():
+    # the 0.7 K sweeps read T_bath 3e-11 K high, the in-plane one 1e-12 K above
+    # the perpendicular one: one WL pair, and the collapse pools both sweeps at
+    # the first sweep's T_bath as read
+    T0 = 0.7 + 3e-11
+    sweeps = [
+        dataclasses.replace(s, T_bath=T0 + (1e-12 if s.theta_deg else 0.0))
+        if s.T_bath == 0.7 else s
+        for s in generate_dataset(SynthConfig.from_dict(synth_dict()))
+    ]
+    report = run_analysis(Dataset("S1", sweeps, AnalysisConfig()))
+    wl = report.stages["wl"]
+    assert [f["T_bath_K"] for f in wl["per_temperature"]] == sorted(TEMPS)
+    assert wl["skipped"] == []
+    assert report.stages["collapse"]["status"] == "ok"
+    # 81 fields from -2 to 2 T per sweep, B = 0 left out
+    assert collapse_points_per_temperature(report) == {0.4: 160, T0: 160, 1.0: 160, 1.5: 160}
+
+
+def test_collapse_leaves_out_an_unconverged_temperature(clean_run, monkeypatch):
+    real = pipeline.fit_wl_difference
+    calls = []
+
+    def second_unconverged(*args):  # the WL stage fits in ascending T_bath
+        res = real(*args)
+        calls.append(res)
+        if len(calls) != 2:
+            return res
+        return dataclasses.replace(res, fit=dataclasses.replace(res.fit, converged=False, reason="max_iter"))
+
+    monkeypatch.setattr(pipeline, "fit_wl_difference", second_unconverged)
+    report = run_analysis(clean_run["ds"])
+    assert [f["converged"] for f in report.stages["wl"]["per_temperature"]] == [True, False, True, True]
+    col = report.stages["collapse"]
+    assert col["status"] == "ok"
+    assert [t["T_bath_K"] for t in col["temperatures"]] == [0.4, 1.0, 1.5]
+    assert collapse_points_per_temperature(report) == {0.4: 160, 1.0: 160, 1.5: 160}
+
+
 def test_plot_tables_present(clean_run):
     plots = clean_run["report"].plots
     assert set(plots) == {"wl_difference", "l_phi", "sigma0", "aa_collapse", "aa_master"}

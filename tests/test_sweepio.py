@@ -169,6 +169,13 @@ def test_unusable_sample_id_rejected(sample_id):
         SweepRecord(sample_id, 0.3, 0.0, [0.0, 1.0], [1000.0, 1010.0], None, 1e-9)
 
 
+@pytest.mark.parametrize("sample_id", [" S1", "S1 "])
+def test_sample_id_with_surrounding_blanks_rejected(sample_id):
+    # the parser strips every cell, so such an id would read back as 'S1'
+    with pytest.raises(ValueError, match="cannot name an output file and one CSV cell"):
+        SweepRecord(sample_id, 0.3, 0.0, [0.0, 1.0], [1000.0, 1010.0], None, 1e-9)
+
+
 @pytest.mark.parametrize("sample_id", ["S1", "a.b", "...", "a b", "δ-1"])
 def test_usable_sample_id_round_trips(tmp_path, sample_id):
     rec = SweepRecord(sample_id, 0.3, 0.0, [0.0, 1.0], [1000.0, 1010.0], None, 1e-9)
