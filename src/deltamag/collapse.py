@@ -21,7 +21,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .fit import Measured, Residual, levmar
+from .fit import FitResult, Measured, Residual, levmar
 from .models import g2_with_log_slope, orbital_delta_sigma, reduced_field
 from .constants import G0
 
@@ -181,10 +181,7 @@ class CollapseResult:
     delta_sigma: np.ndarray  # interaction residue, S
     master_curve: np.ndarray  # binned pooled points, rows of (ln h, delta_sigma)
     F: Measured
-    converged: bool
-    iterations: int
-    nfev: int  # residual evaluations
-    reason: str  # levmar's stopping test
+    fit: FitResult
 
 
 def collapse_teff(curves: Sequence[AaCurve], *, g_factor: float = 2.0) -> CollapseResult:
@@ -274,8 +271,5 @@ def collapse_teff(curves: Sequence[AaCurve], *, g_factor: float = 2.0) -> Collap
         delta_sigma=y,
         master_curve=master,
         F=Measured(float(F), math.sqrt(max(float(grad @ fit.covariance @ grad), 0.0))),
-        converged=fit.converged,
-        iterations=fit.iterations,
-        nfev=fit.nfev,
-        reason=fit.reason,
+        fit=fit,
     )

@@ -457,7 +457,6 @@ class PowerLawFit:
 
     exponent: Measured
     amplitude: Measured  # meters at 1 K
-    cov: np.ndarray  # (exponent, ln amplitude)
 
 
 def fit_coherence_power_law(T, l_phi) -> PowerLawFit:
@@ -481,5 +480,4 @@ def fit_coherence_power_law(T, l_phi) -> PowerLawFit:
     return PowerLawFit(
         exponent=Measured(res.slope, math.sqrt(max(res.cov[0, 0], 0.0))),
         amplitude=Measured(amp, amp * math.sqrt(max(res.cov[1, 1], 0.0))),
-        cov=res.cov,
     )

@@ -112,7 +112,8 @@ def wl_perp_shape(B, l_phi: float, l_mfp: float):
     arr = np.asarray(B, dtype=float)
     low = arr.min() if arr.size else 0.0
     if not low >= 0.0:  # also NaN
-        raise ValueError("wl_perp requires B >= 0; pass |B| for signed sweeps")
+        why = ", got NaN" if math.isnan(low) else "; pass |B| for signed sweeps"
+        raise ValueError(f"wl_perp requires B >= 0{why}")
     b_phi = phase_breaking_field(l_phi)
     b_l = elastic_field(l_mfp)
     log_sat = math.log(2.0 * l_phi**2 / l_mfp**2)
@@ -205,10 +206,10 @@ def reduced_field(B, T, g_factor: float = 2.0):
     temperature or one per point, shaped like B."""
     T = np.asarray(T, dtype=float)
     if T.size and not T.min() > 0.0:  # also NaN
-        raise ValueError("reduced_field requires T > 0")
+        raise ValueError("reduced_field requires T > 0" + (", got NaN" if np.isnan(T).any() else ""))
     arr = np.asarray(B, dtype=float)
     if arr.size and not arr.min() >= 0.0:  # also NaN
-        raise ValueError("reduced_field requires B >= 0")
+        raise ValueError("reduced_field requires B >= 0" + (", got NaN" if np.isnan(arr).any() else ""))
     out = g_factor * MU_B * arr / (K_B * T)
     return float(out) if arr.ndim == 0 else out
 

@@ -29,7 +29,7 @@ import numpy as np
 from ._version import __version__
 from .collapse import collapse_teff, isolate_aa
 from .constants import Quantity, _number, _pair, from_si, to_si
-from .fit import Measured, WlDifferenceFit, fit_coherence_power_law, fit_wl_difference
+from .fit import FitResult, Measured, WlDifferenceFit, fit_coherence_power_law, fit_wl_difference
 from .hall import Geometry, KAPPA_DEFAULT, SamplePhysics, characterize, density_from_hall
 from .models import orbital_delta_sigma
 from .sweepio import SweepRecord, check_sample_id, parse_sweep_csv, write_plot_csv
@@ -162,11 +162,12 @@ def load_datasets(paths: Sequence, config: AnalysisConfig) -> List[Dataset]:
 
 def _sigma0_quadratic(B, R_xx, squares: float) -> float:
     """Zero-field conductivity from the three lowest-|B| distinct fields
-    (Lagrange); a field read more than once gives its mean conductivity."""
+    (Lagrange); a field read more than once gives its mean conductivity, and of
+    -B and +B the negative one comes first, whatever the sweep direction."""
     B = np.asarray(B, dtype=float)
     if B.size < 3:
         raise ValueError("need at least 3 points to extrapolate sigma0")
-    order = np.argsort(np.abs(B), kind="stable")
+    order = np.lexsort((B, np.abs(B)))
     with np.errstate(divide="ignore", over="ignore"):
         s_all = squares / np.asarray(R_xx, dtype=float)[order]
     near: dict = {}  # field -> conductivities of its readings, by ascending |B|
@@ -214,6 +215,12 @@ def _checked(sigma0):
 
 def _measured(m: Measured) -> dict:
     return {"value": m.value, "stderr": m.stderr}
+
+
+def _solver(fit: FitResult) -> dict:
+    """How hard ``levmar`` worked for a fit, and the stopping test it met."""
+    return {"converged": fit.converged, "iterations": fit.iterations,
+            "nfev": fit.nfev, "reason": fit.reason}
 
 
 def _hall_stage(ds: Dataset, sigma0: list) -> Tuple[dict, SamplePhysics]:
@@ -311,10 +318,7 @@ def _wl_stage(ds: Dataset, sigma0: list, phys: SamplePhysics) -> Tuple[dict, Lis
                 "l_phi_m": _measured(res.l_phi),
                 "gamma_T2": _measured(res.gamma),
                 "delta_m": _measured(res.delta),
-                "converged": bool(res.fit.converged),
-                "iterations": int(res.fit.iterations),
-                "nfev": res.fit.nfev,
-                "reason": res.fit.reason,
+                **_solver(res.fit),
                 "residual_norm": res.fit.residual_norm,
             }
         )
@@ -388,10 +392,7 @@ def _collapse_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature], phys: Sa
         "dispersion": result.dispersion,
         "dispersion_at_bath": result.dispersion_at_bath,
         "F": _measured(result.F),
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "nfev": result.nfev,
-        "reason": result.reason,
+        **_solver(result.fit),
         "temperatures": [
             {"T_bath_K": float(tb), "T_eff_K": float(te), "T_eff_stderr_K": float(se),
              "at_bound": bool(bound), "h_max": float(hm)}

@@ -44,6 +44,13 @@ def _get(parent, key: str, default=None, kind=float):
     return parent[key]
 
 
+def _known(obj: dict, keys: str) -> None:
+    """Raise for a key of ``obj`` that is not one of the blank-separated ``keys``."""
+    for key in obj:
+        if key not in keys.split():
+            raise ValueError(f"unknown synth config key {key!r}")
+
+
 def effective_temperature(T_bath: float, t_sat: float) -> float:
     """Electron temperature with low-T saturation, sqrt(T_bath^2 + t_sat^2).
 
@@ -127,13 +134,20 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        """Parse the JSON schema; a missing key or a wrong type raises ValueError."""
+        """Parse the JSON schema; a missing or unknown key or a wrong type raises ValueError."""
         sample, law = _get(d, "sample", kind=dict), _get(d, "l_phi_law", kind=dict)
         noise, geo = _get(d, "noise", {}, dict), _get(d, "geometry", {}, dict)
+        _known(d, "sample_id sample l_phi_law t_sat_K noise sweep_plan geometry current_A g_factor")
+        _known(sample, "n_2d_cm2 mobility_cm2_Vs delta_nm F")
+        _known(law, "amplitude_nm exponent")
+        _known(noise, "relative_sigma seed")
+        _known(geo, "L_um W_um")
         plan = []
         for entry in _get(d, "sweep_plan", [], list):
             spec = _get(entry, "B_T", kind=(dict, list))
+            _known(entry, "T_bath_K theta_deg B_T")
             if isinstance(spec, dict):
+                _known(spec, "start stop num")
                 B = np.linspace(_get(spec, "start"), _get(spec, "stop"), int(_get(spec, "num")))
             else:
                 B = np.array([_number("B_T", b) for b in spec])

@@ -300,6 +300,39 @@ def test_synth_config_errors_name_the_key(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+def _misspelled_plan_entry(d, key, where=None):
+    """``d`` with a key ``key`` added to its first plan entry, or to that entry's ``where``."""
+    first = dict(d["sweep_plan"][0])
+    if where:
+        first[where] = {**first[where], key: 0.1}
+    else:
+        first[key] = 0.1
+    return {**d, "sweep_plan": [first, *d["sweep_plan"][1:]]}
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda d: {**d, "tsat_K": 0.2}, "tsat_K"),
+        (lambda d: {**d, "sample": {**d["sample"], "dleta_nm": 0.4}}, "dleta_nm"),
+        (lambda d: {**d, "l_phi_law": {**d["l_phi_law"], "exponant": -0.3}}, "exponant"),
+        (lambda d: {**d, "noise": {**d["noise"], "relative_sgima": 0.01}}, "relative_sgima"),
+        (lambda d: {**d, "geometry": {"L_um": 200.0, "W_mu": 20.0}}, "W_mu"),
+        (lambda d: _misspelled_plan_entry(d, "T_K"), "T_K"),
+        (lambda d: _misspelled_plan_entry(d, "step", "B_T"), "step"),
+    ],
+    ids=["top", "sample", "l_phi_law", "noise", "geometry", "plan-entry", "B_T"],
+)
+def test_synth_rejects_an_unknown_key(tmp_path, capsys, edit, key):
+    # a misspelled optional key would otherwise leave its default in force, unsaid
+    cfg = tmp_path / "in" / "config.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps(edit(config_dict())), encoding="utf-8")
+    assert main(["synth", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown synth config key {key!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "in"]
+
+
 def test_analysis_config_file_is_honored(sweeps_csv, tmp_path, capsys):
     cfg = tmp_path / "analysis.json"
     cfg.write_text(json.dumps({"g": 4.0, "fit_window_T": [0.0, 1.0]}), encoding="utf-8")

@@ -153,6 +153,21 @@ def test_nan_field_is_rejected(B):
     assert reduced_field(np.array([]), 1.0).size == 0
 
 
+def test_nan_is_named_apart_from_a_negative_value():
+    # both fail the same range check; only a negative field is told to pass |B|
+    cases = [
+        (lambda x: wl_perp_shape(x, 86e-9, 11.7e-9), "wl_perp requires B >= 0",
+         "; pass |B| for signed sweeps"),
+        (lambda x: reduced_field(x, 1.0), "reduced_field requires B >= 0", ""),
+        (lambda x: reduced_field(0.5, x), "reduced_field requires T > 0", ""),
+    ]
+    for call, head, negative in cases:
+        for bad, tail in ((math.nan, ", got NaN"), (-0.2, negative)):
+            with pytest.raises(ValueError) as exc_info:
+                call(np.array([0.1, bad]))
+            assert str(exc_info.value) == head + tail
+
+
 def test_wl_perp_monotone_and_saturating():
     B = np.linspace(0.0, 2.0, 400)
     y = wl_perp(B, P1)
@@ -225,8 +240,8 @@ def test_reduced_field_value():
     B, T = np.array([0.0, 0.3, 2.0, 7.5]), np.array([0.1, 0.6, 0.6, 3.0])
     want = [reduced_field(b, t, 0.44) for b, t in zip(B, T)]
     assert reduced_field(B, T, 0.44).tobytes() == np.array(want).tobytes()
-    for bad in (0.0, -0.1, math.nan):
-        with pytest.raises(ValueError, match="^reduced_field requires T > 0$"):
+    for bad, tail in ((0.0, ""), (-0.1, ""), (math.nan, ", got NaN")):
+        with pytest.raises(ValueError, match=f"^reduced_field requires T > 0{tail}$"):
             reduced_field(B, np.r_[T[:3], bad])
     assert reduced_field(np.empty(0), np.empty(0)).size == 0
     with pytest.raises(ValueError):

@@ -242,6 +242,55 @@ def test_collapse_leaves_out_an_unconverged_temperature(clean_run, monkeypatch):
     assert collapse_points_per_temperature(report) == {0.4: 160, 1.0: 160, 1.5: 160}
 
 
+def test_report_solver_keys_are_the_fits_own(clean_run, monkeypatch):
+    # each WL row and the collapse section hold their levmar FitResult's record
+    wl_fits, collapses = [], []
+
+    def kept(real, into):
+        def call(*args, **kwargs):
+            into.append(real(*args, **kwargs))
+            return into[-1]
+        return call
+
+    monkeypatch.setattr(pipeline, "fit_wl_difference", kept(pipeline.fit_wl_difference, wl_fits))
+    monkeypatch.setattr(pipeline, "collapse_teff", kept(pipeline.collapse_teff, collapses))
+    stages = run_analysis(clean_run["ds"]).stages
+    rows = stages["wl"]["per_temperature"]
+    pairs = [(row, res.fit) for row, res in zip(rows, wl_fits)] + [(stages["collapse"], collapses[0].fit)]
+    assert len(pairs) == len(TEMPS) + 1
+    for section, fit in pairs:
+        for key in ("converged", "iterations", "nfev", "reason"):
+            assert type(section[key]) is type(getattr(fit, key)), key
+            assert section[key] == getattr(fit, key), key
+    assert [row["residual_norm"] for row in rows] == [res.fit.residual_norm for res in wl_fits]
+
+
+def test_report_does_not_depend_on_the_sweep_direction(tmp_path):
+    # 40 fields, -1.95 to 1.95 T, no B = 0: the three fields nearest zero are
+    # -0.05, 0.05 and a third of +-0.15 that ties on |B|, whichever way the
+    # sweep ran; the down-sweeps are the same readings in reverse order
+    fields = [k / 20 for k in range(-39, 40, 2)]
+    d = synth_dict(temps=(0.1, 0.2, 0.4, 0.7, 1.0), t_sat_K=0.25,
+                   noise={"relative_sigma": 0.002, "seed": 12})
+    for entry in d["sweep_plan"]:
+        entry["B_T"] = fields
+    _, up, ds_up = build_dataset(tmp_path, d)
+    down = tmp_path / "down.csv"
+    write_sweep_csv(down, [
+        dataclasses.replace(s, B=s.B[::-1], R_xx=s.R_xx[::-1],
+                            R_xy=None if s.R_xy is None else s.R_xy[::-1])
+        for s in parse_sweep_csv(up)
+    ])
+    (ds_down,) = load_datasets([down], AnalysisConfig())
+    assert ds_down.sweeps[0].B[0] == 1.95
+    report_up, report_down = run_analysis(ds_up), run_analysis(ds_down)
+    assert all(st["status"] == "ok" for st in report_up.stages.values())
+    # as written: the Hall slope's sums run in file order, so its stderr may
+    # differ in the last bits
+    up_json, down_json = (json.loads(r.to_json())["stages"] for r in (report_up, report_down))
+    assert down_json == up_json
+
+
 def test_plot_tables_present(clean_run):
     plots = clean_run["report"].plots
     assert set(plots) == {"wl_difference", "l_phi", "sigma0", "aa_collapse", "aa_master"}
@@ -748,7 +797,7 @@ def test_every_temperature_non_finite_skips_the_wl_stage(tmp_path):
 def numpy_scalar_sigma0(B, R_xx, squares):
     """The three-point Lagrange sum as it was written on numpy scalars."""
     B = np.asarray(B, dtype=float)
-    idx = np.argsort(np.abs(B), kind="stable")[:3]
+    idx = np.lexsort((B, np.abs(B)))[:3]
     b = B[idx]
     s = squares / np.asarray(R_xx, dtype=float)[idx]
     total = 0.0
@@ -786,7 +835,7 @@ def test_sigma0_averages_repeated_fields():
     again = pipeline._sigma0_quadratic(np.append(B, 0.0), np.append(R_xx, 8.0 / 4.0), 8.0)
     assert again == pytest.approx(once + 1.0, rel=1e-15)
     # a repeat of the third field is found past a field that ties it on |B|
-    B3 = np.array([0.1, 0.2, 0.3, -0.3, 0.3])
+    B3 = np.array([0.1, 0.2, -0.3, 0.3, -0.3])
     R3 = np.array([4.0, 2.0, 1.0, 3.0, 0.5])
     assert pipeline._sigma0_quadratic(B3, R3, 8.0) == pytest.approx(
         pipeline._sigma0_quadratic(B3[:3], np.array([4.0, 2.0, 8.0 / 12.0]), 8.0), rel=1e-15
