@@ -64,7 +64,9 @@ def density_from_hall(B, R_xy) -> Measured:
 
     Ordinary least squares of R_xy on B with an intercept; the intercept
     absorbs any contact offset, so adding a constant to R_xy leaves the
-    density unchanged. n = 1 / (e * dR_xy/dB).
+    density unchanged. n = 1 / (e * dR_xy/dB). The readings are fitted in
+    ascending B (R_xy breaks ties), so their order does not change a bit of
+    the result.
     """
     B = np.asarray(B, dtype=float)
     R_xy = np.asarray(R_xy, dtype=float)
@@ -78,7 +80,8 @@ def density_from_hall(B, R_xy) -> Measured:
     for name, v in (("B", B), ("R_xy", R_xy)):
         if not np.isfinite(v).all():
             raise ValueError(f"{name} contains non-finite values")
-    res = linear_fit(B, R_xy)
+    order = np.lexsort((R_xy, B))
+    res = linear_fit(B[order], R_xy[order])
     slope = res.slope
     if slope <= 0.0:
         raise ValueError(

@@ -13,6 +13,8 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -72,21 +74,28 @@ class SweepRecord:
 def parse_sweep_csv(path) -> list:
     """Parse a sweep CSV into SweepRecord objects, one column at a time.
 
-    The header must match the sweep format exactly; the error names the
-    first offending column. Of the bad rows and cells (nan and inf
-    included) the error names the first in file order, with its row
-    number. Within a sweep, B must be strictly monotone; violations are
-    re-sorted ascending with a warning that names a repeated field. R_xy
-    cells may all be empty (no Hall data) but a sweep cannot mix the two.
+    The text is split on line ends and commas, unless it holds a double
+    quote, a NUL or a line longer than the csv module's field limit: then
+    ``csv.reader`` reads it. The header must match the sweep format
+    exactly; the error names the first offending column. Of the bad rows
+    and cells (nan and inf included) the error names the first in file
+    order, with its row number. Within a sweep, B must be strictly
+    monotone; violations are re-sorted ascending with a warning that names
+    a repeated field. R_xy cells may all be empty (no Hall data) but a
+    sweep cannot mix the two.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if not text.strip():
         raise ValueError(f"{path}: empty file")
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise ValueError(f"{path}: unreadable CSV: {exc}") from None
+    rows = text.split("\n")  # read_text made every CRLF and lone CR a '\n'
+    if '"' in text or "\0" in text or max(map(len, rows)) > csv.field_size_limit():
+        try:
+            rows = list(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: unreadable CSV: {exc}") from None
+    else:  # the rows csv.reader gives, an empty line as []
+        rows = [line.split(",") if line else [] for line in rows]
     header = rows[0]
     if header and header[0].lstrip().startswith("#"):
         raise ValueError(
@@ -111,31 +120,29 @@ def parse_sweep_csv(path) -> list:
         raise ValueError(f"{path}: no data rows")
     body = [rows[i] for i in keep]
     try:
-        ids, num, filled, xy = _columns(body)
+        starts, heads, num, filled, xy = _columns(body)
     except ValueError:  # re-scan in file order for the first bad field
         for i in keep:
             _check_row(path, i + 1, rows[i])
         # every cell reads once stripped: float() strips less than str.strip()
-        ids, num, filled, xy = _columns([[c.strip() for c in row] for row in body])
+        starts, heads, num, filled, xy = _columns([[c.strip() for c in row] for row in body])
 
-    # a sweep is the runs of rows that share one (sample_id, T_bath, theta) key
-    cut = (num[:2, 1:] != num[:2, :-1]).any(axis=0) | (ids[1:] != ids[:-1])
-    starts = [0, *(np.flatnonzero(cut) + 1).tolist(), len(body)]
+    # a sweep is the runs that share one (sample_id, T_bath, theta) key; its current is its first row's
     runs: dict = {}
-    for a, b in zip(starts, starts[1:]):
-        runs.setdefault((ids[a], float(num[0, a]), float(num[1, a])), []).append(slice(a, b))
+    for a, b, (T_bath, theta) in zip(starts, [*starts[1:], len(body)], heads.tolist()):
+        runs.setdefault((body[a][0].strip(), T_bath, theta), []).append(slice(a, b))
     records = []
     for (sample_id, T_bath, theta), parts in runs.items():
+        current = float(num[2, parts[0].start])
         idx = parts[0] if len(parts) == 1 else np.r_[tuple(parts)]
         has_xy = filled[idx]
         if has_xy.any() and not has_xy.all():
             bad = keep[np.r_[idx][~has_xy][0]] + 1
             raise ValueError(f"{path}: row {bad}: R_xy missing in a sweep that has R_xy elsewhere")
-        current = float(num[4, idx][0])
-        dB = np.diff(num[2, idx])
+        dB = np.diff(num[0, idx])
         if len(dB) and not ((dB > 0.0).all() or (dB < 0.0).all()):
-            idx = np.r_[idx][np.argsort(num[2, idx], kind="stable")]
-            B = num[2, idx]
+            idx = np.r_[idx][np.argsort(num[0, idx], kind="stable")]
+            B = num[0, idx]
             repeated = B[:-1][B[1:] == B[:-1]]
             warnings.warn(
                 f"{path}: sweep ({sample_id}, {T_bath} K, {theta} deg): "
@@ -143,24 +150,29 @@ def parse_sweep_csv(path) -> list:
                 + (f"; B = {FLOAT_FMT % repeated[0]} T is read more than once" if repeated.size else "")
             )
         R_xy = xy[idx] if has_xy.all() else None
-        records.append(SweepRecord(sample_id, T_bath, theta, num[2, idx], num[3, idx], R_xy, current))
+        records.append(SweepRecord(sample_id, T_bath, theta, num[0, idx], num[1, idx], R_xy, current))
     return records
 
 
 def _columns(body):
-    """Sample ids, the (T_bath, theta, B, R_xx, I) array, the filled-R_xy
-    mask and R_xy of the data rows. A bad field raises ValueError."""
+    """The first row of each run, the (T_bath, theta) array of the runs,
+    the (B, R_xx, I) array, the filled-R_xy mask and R_xy of the data rows.
+    A run is a stretch of rows whose sample_id, T_bath and theta cells are
+    the same text, so only its first row's are read; I, which a file may
+    log row by row, is read on every row. A bad field raises ValueError."""
     if set(map(len, body)) != {len(SWEEP_COLUMNS)}:
         raise ValueError("field count")
     ids, T_bath, theta, B, R_xx, R_xy, current = zip(*body)
-    ids = np.array([s.strip() for s in ids], dtype=object)
-    filled = np.array([bool(c.strip()) for c in R_xy])
-    num = np.array([T_bath, theta, B, R_xx, current], dtype=float)
+    keys = list(zip(ids, T_bath, theta))
+    starts = [0, *compress(range(1, len(keys)), map(ne, keys[1:], keys))]
+    heads = np.array([keys[a][1:] for a in starts], dtype=float)
+    num = np.array([B, R_xx, current], dtype=float)
+    filled = np.fromiter(map(str.strip, R_xy), bool, len(body))
     xy = np.zeros(len(body))
     xy[filled] = np.array(R_xy, dtype=object)[filled].astype(float)
-    if not (all(ids) and np.isfinite(num).all() and np.isfinite(xy).all()):
+    if not (all(ids[a].strip() for a in starts) and all(np.isfinite(v).all() for v in (heads, num, xy))):
         raise ValueError("empty sample_id or non-finite value")
-    return ids, num, filled, xy
+    return starts, heads, num, filled, xy
 
 
 def _check_row(path, line_no, row) -> None:

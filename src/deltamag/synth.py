@@ -27,7 +27,7 @@ T_MIN_APPARATUS = 0.03  # K, cryostat base temperature
 
 
 def _get(parent, key: str, default=None, kind=float):
-    """``parent[key]`` as a number, or checked to be a ``kind`` (dict or list).
+    """``parent[key]`` as a number, or checked to be a ``kind`` (dict, list or str).
 
     ``parent`` must be a JSON object; a key without a ``default`` is required.
     """
@@ -153,7 +153,7 @@ class SynthConfig:
                 B = np.array([_number("B_T", b) for b in spec])
             plan.append(SweepPlanEntry(_get(entry, "T_bath_K"), _get(entry, "theta_deg"), B))
         return cls(
-            sample_id=str(d.get("sample_id", "synth")),
+            sample_id=_get(d, "sample_id", "synth", str),
             n_2d=to_si(Quantity(_get(sample, "n_2d_cm2"), "cm^-2")).value,
             mobility=to_si(Quantity(_get(sample, "mobility_cm2_Vs"), "cm^2/Vs")).value,
             delta=to_si(Quantity(_get(sample, "delta_nm", 0.0), "nm")).value,

@@ -279,6 +279,17 @@ def test_synth_rejects_a_sample_id_with_surrounding_blanks(tmp_path, capsys, sam
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "in"]
 
 
+@pytest.mark.parametrize("sample_id", [None, 12, ["S1"]], ids=["null", "number", "list"])
+def test_synth_rejects_a_sample_id_that_is_not_a_string(tmp_path, capsys, sample_id):
+    # str() would make the samples 'None', '12' and "['S1']"
+    cfg = tmp_path / "in" / "config.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps({**config_dict(), "sample_id": sample_id}), encoding="utf-8")
+    assert main(["synth", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config key 'sample_id' has the wrong type, got {sample_id!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "in"]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -50,6 +50,16 @@ def test_density_noise_coverage():
     assert hits >= 950
 
 
+def test_density_does_not_depend_on_the_reading_order():
+    # every field read three times: the fit must not see which reading came first
+    B, R_xy = make_sweep(1.18e17, n_points=21, noise=0.01, seed=3)
+    B, R_xy = np.repeat(B, 3), np.repeat(R_xy, 3) + np.tile([0.0, 0.5, -0.3], 21)
+    ref = density_from_hall(B, R_xy)
+    rng = np.random.default_rng(0)
+    for order in [np.arange(63)[::-1], *(rng.permutation(63) for _ in range(20))]:
+        assert density_from_hall(B[order], R_xy[order]) == ref
+
+
 def test_density_rejects_wrong_carrier_sign():
     B = np.linspace(-2.0, 2.0, 20)
     with pytest.raises(ValueError, match="carrier sign"):

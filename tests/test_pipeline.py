@@ -285,10 +285,7 @@ def test_report_does_not_depend_on_the_sweep_direction(tmp_path):
     assert ds_down.sweeps[0].B[0] == 1.95
     report_up, report_down = run_analysis(ds_up), run_analysis(ds_down)
     assert all(st["status"] == "ok" for st in report_up.stages.values())
-    # as written: the Hall slope's sums run in file order, so its stderr may
-    # differ in the last bits
-    up_json, down_json = (json.loads(r.to_json())["stages"] for r in (report_up, report_down))
-    assert down_json == up_json
+    assert report_down.stages == report_up.stages
 
 
 def test_plot_tables_present(clean_run):

@@ -424,6 +424,17 @@ def sweep_files(draw):
 @example(SWEEP_HEADER + "\nS1,0.3,0,0,1,2,1\nS1,0.3,0,0.1,oops,2,1\nS1,0.3,0,0.2,1,2\n")
 @example(SWEEP_HEADER + "\nS1,0.3,0,0.1,1,,1\n\nS2,0.3,0,0,1,,1\nS1,0.3,0,0,1,3,1\n")
 @example(SWEEP_HEADER + "\r\nS1,0.3,0,1,1,\x1c4,1\r\nS1,0.3,-0,0,1,5,1\r\n")
+# one sweep in runs of other text: I as 1e-9, 1e-09 and 1.0e-9, T as 0.3 and 0.30
+@example(SWEEP_HEADER + "\nS1,0.3,0,0,1,2,1e-9\nS1,0.3,0,0.1,1,2,1e-09\nS1,0.30,0,0.2,1,2,1.0e-9\nS1,0.30,0,0.3,1,2,1e-9\n")
+# a current logged on every row, in a sweep re-sorted by B: the current is the first row's
+@example(SWEEP_HEADER + "\nS1,0.3,0,0.1,1,2,3e-9\nS1,0.3,0,0,1,2,1e-9\nS2,0.3,0,0,1,2,4e-9\nS1,0.3,0,0.2,1,2,2e-9\n")
+@example(SWEEP_HEADER + "\nS1,0.3,0,0,1,2,1\nS1,nan,0,0.1,1,2,1\nS1,0.3,0,0.2,1,2,1\n")  # bad T in mid-run
+@example(SWEEP_HEADER + "\nS1,0.3,0,0,1,2,1\nS1,0.3,0,0.1,1,2,abc\nS1,0.3,0,0.2,1,2,1\n")  # bad I in mid-run
+@example(SWEEP_HEADER + "\nS1,0.3,0,0,1, ,1\nS1,0.3,0,0.1,1,\t,1\n")  # whitespace-only R_xy
+@example(SWEEP_HEADER + "\r\nS1,0.3,0,0,1,2,1\r\n\r\nS1,0.3,0,0.1,1,2,1\r\n")  # CRLF
+@example(SWEEP_HEADER + "\nS1,0.3,0,0,1,2,1\rS1,0.3,0,0.1,1,2,1\n")  # a lone CR
+@example(SWEEP_HEADER + "\nS1,0.3,0,0,1,2,1\nS1\x00,0.3,0,0.1,1,2,1\n")  # a NUL
+@example(SWEEP_HEADER + '\nS1,0.3,0,0,1,2,1\n"S1",0.3,0,0.1,1,"2",1\n')  # quoted cells
 def test_columnar_parser_matches_row_by_row(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -437,6 +448,35 @@ def test_repeated_field_is_named_in_the_warning(tmp_path):
         (rec,) = parse_sweep_csv(path)
     np.testing.assert_array_equal(rec.B, [0.0, 0.0, 1.0])
     np.testing.assert_array_equal(rec.R_xx, [1000.0, 1001.0, 1010.0])
+
+
+@pytest.mark.parametrize(
+    "text, by_csv",
+    [
+        ("\nS1,0.3,0,0,1,2,1\n\n", False),
+        ("\r\nS1,0.3,0,0,1,2,1\r\n\r\n", False),
+        ('\n"S1",0.3,0,0,1,2,1\n', True),
+        ("\nS1\x00,0.3,0,0,1,2,1\n", True),
+        ("\nS1,0.3,0,0,1,2,1\rS1,0.3,0,1,1,2,1\r\r\n", False),  # read as line ends
+        ("\nS1,0.3,0,0,1,2," + "0" * 131072 + "1\n", True),
+    ],
+    ids=["lf", "crlf", "quote", "nul", "lone-cr", "long-line"],
+)
+def test_csv_module_reads_only_text_a_split_would_misread(tmp_path, monkeypatch, text, by_csv):
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda f: calls.append(f) or reader(f))
+    path = tmp_path / "x.csv"
+    path.write_bytes((SWEEP_HEADER + text).encode())
+    outcome(parse_sweep_csv, path)
+    assert bool(calls) == by_csv
+
+
+def test_cell_over_the_csv_field_limit_is_unreadable(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text(SWEEP_HEADER + "\nS1,0.3,0,0,1," + "1" * (csv.field_size_limit() + 1) + ",1\n")
+    with pytest.raises(ValueError, match=r"long.csv: unreadable CSV: field larger than field limit"):
+        parse_sweep_csv(path)
 
 
 # ------------------------------------------------- parsed sweeps, pinned
@@ -478,3 +518,15 @@ def test_parsed_sweeps_are_pinned(tmp_path):
         for rec in parse_sweep_csv(path):
             digest.update(repr(record_bits(rec)).encode())
     assert digest.hexdigest() == SWEEP_PARSE_SHA256
+
+
+def test_crlf_padded_and_gapped_file_gives_the_same_records(tmp_path):
+    # each row padded its own way, so every row starts a run of its own text
+    path = next(pinned_plan_files(tmp_path))
+    lines = path.read_text().splitlines()
+    odd = [",".join(" " * (k % 3) + cell + "\t" * (k % 2) for cell in line.split(",")) for k, line in enumerate(lines)]
+    for k in range(len(odd) - 1, 0, -25):
+        odd.insert(k, " " * (k % 2))
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(("\r\n".join(odd) + "\r\n").encode())
+    assert [record_bits(r) for r in parse_sweep_csv(padded)] == [record_bits(r) for r in parse_sweep_csv(path)]
