@@ -40,7 +40,6 @@ from .hall import (
 )
 from .fit import (
     FitResult,
-    LinearFit,
     Measured,
     PowerLawFit,
     Residual,
@@ -49,7 +48,6 @@ from .fit import (
     fit_coherence_power_law,
     fit_wl_difference,
     levmar,
-    linear_fit,
 )
 from .collapse import (
     AaCurve,
@@ -89,7 +87,6 @@ __all__ = [
     "InPlaneParams",
     "KAPPA_DEFAULT",
     "LayerRecord",
-    "LinearFit",
     "Measured",
     "PowerLawFit",
     "Quantity",
@@ -121,7 +118,6 @@ __all__ = [
     "interaction_rs",
     "isolate_aa",
     "levmar",
-    "linear_fit",
     "load_datasets",
     "mean_free_path",
     "mobility",

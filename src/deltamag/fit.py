@@ -1,11 +1,12 @@
 """Least-squares machinery and the transport inverse problems.
 
-The generic pieces are ``linear_fit`` (ordinary least squares with
-intercept) and ``levmar`` (Levenberg-Marquardt with box projection). On top
-of them sit two model inversions: the two-parameter weak-localization
-difference fit and the coherence-length power law. The interaction
-parameter F and the electron temperatures come from one ``levmar`` fit in
-``collapse.collapse_teff``.
+The generic piece is ``levmar`` (Levenberg-Marquardt with box projection),
+with two covariance estimators: ``FitResult.covariance`` (chi-square
+scaled) and ``_sandwich_covariance`` (heteroscedasticity-consistent). On
+top of it sit two model inversions: the two-parameter weak-localization
+difference fit (sandwich) and the coherence-length power law (chi-square).
+The interaction parameter F and the electron temperatures come from one
+``levmar`` fit in ``collapse.collapse_teff`` (chi-square).
 """
 
 from __future__ import annotations
@@ -28,47 +29,6 @@ class Measured(NamedTuple):
 
     value: float
     stderr: float
-
-
-@dataclass
-class LinearFit:
-    """Slope/intercept fit with covariance (order: slope, intercept)."""
-
-    slope: float
-    intercept: float
-    cov: np.ndarray
-
-
-def linear_fit(x, y) -> LinearFit:
-    """Ordinary least squares of y on x with an intercept.
-
-    The covariance is (X^T X)^-1 scaled by chi^2 / dof with dof = n - 2,
-    so exact data yields a zero covariance. Two points are allowed (exact
-    line, dof clamped to 1).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    n = x.size
-    if n < 2:
-        raise ValueError("need at least 2 points")
-    xm = x.mean()
-    dx = x - xm
-    sxx = float(dx @ dx)
-    if sxx <= 0.0:
-        raise ValueError("x values are all identical")
-    slope = float(dx @ y) / sxx
-    intercept = float(y.mean() - slope * xm)
-    resid = y - (slope * x + intercept)
-    chi2 = float(resid @ resid)
-    dof = max(n - 2, 1)
-    s2 = chi2 / dof
-    # cov in the centered basis, then shift the intercept back to x = 0
-    cov = s2 * np.array(
-        [[1.0 / sxx, -xm / sxx], [-xm / sxx, 1.0 / n + xm * xm / sxx]]
-    )
-    return LinearFit(slope, intercept, cov)
 
 
 @dataclass
@@ -130,9 +90,7 @@ def _sandwich_covariance(J, r, x_scale):
     m, k = J.shape
     bread = np.linalg.pinv(J.T @ J, hermitian=True)
     meat = J.T @ (J * (r * r)[:, None])
-    cov_u = bread @ meat @ bread * (m / max(m - k, 1))
-    S = np.outer(x_scale, x_scale)
-    cov = cov_u * S
+    cov = bread @ meat @ bread * (m / max(m - k, 1)) * np.outer(x_scale, x_scale)
     return 0.5 * (cov + cov.T)
 
 
@@ -457,13 +415,16 @@ class PowerLawFit:
 
     exponent: Measured
     amplitude: Measured  # meters at 1 K
+    fit: FitResult  # of ln l_phi = exponent * ln T + ln amplitude
 
 
 def fit_coherence_power_law(T, l_phi) -> PowerLawFit:
-    """Fit l_phi(T) = A T^x by linear regression in log-log space.
+    """Fit l_phi(T) = A T^x as the line ln l_phi = x ln T + ln A.
 
-    Callers are expected to pass only temperatures above the saturation
-    floor; nothing here filters them.
+    One ``levmar`` Gauss-Newton step solves the line; the stderrs are its
+    chi-square ``FitResult.covariance``, which at 1 or 2 dof covers the truth
+    better than a sandwich. Callers pass only temperatures above the
+    saturation floor; nothing here filters them.
     """
     T = np.asarray(T, dtype=float)
     lp = np.asarray(l_phi, dtype=float)
@@ -471,13 +432,20 @@ def fit_coherence_power_law(T, l_phi) -> PowerLawFit:
         raise ValueError("T and l_phi must be 1-d arrays of equal length")
     if T.size < 3:
         raise ValueError("need at least 3 temperatures")
-    if np.any(T <= 0.0):
-        raise ValueError("temperatures must be positive")
-    if np.any(lp <= 0.0):
-        raise ValueError("coherence lengths must be positive")
-    res = linear_fit(np.log(T), np.log(lp))
-    amp = math.exp(res.intercept)
+    for name, v in (("T", T), ("l_phi", lp)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} contains non-finite values")
+        if (v <= 0.0).any():
+            raise ValueError(f"{name} must be positive")
+    x, y = np.log(T), np.log(lp)
+    if np.ptp(x) == 0.0:
+        raise ValueError("temperatures are all identical")
+    design = np.column_stack([x, np.ones(x.size)])
+    res = levmar(Residual(lambda p: design @ p - y, lambda p: design), np.zeros(2))
+    cov = res.covariance
+    amp = math.exp(res.params[1])
     return PowerLawFit(
-        exponent=Measured(res.slope, math.sqrt(max(res.cov[0, 0], 0.0))),
-        amplitude=Measured(amp, amp * math.sqrt(max(res.cov[1, 1], 0.0))),
+        exponent=Measured(float(res.params[0]), math.sqrt(max(cov[0, 0], 0.0))),
+        amplitude=Measured(amp, amp * math.sqrt(max(cov[1, 1], 0.0))),
+        fit=res,
     )

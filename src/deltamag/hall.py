@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, HBAR
-from .fit import Measured, linear_fit
+from .fit import Measured
 
 # Interaction-strength constant kappa = g_v / a_B for these layers, m^-1.
 # Single configurable number; the default maps the density range of the
@@ -66,7 +66,10 @@ def density_from_hall(B, R_xy) -> Measured:
     absorbs any contact offset, so adding a constant to R_xy leaves the
     density unchanged. n = 1 / (e * dR_xy/dB). The readings are fitted in
     ascending B (R_xy breaks ties), so their order does not change a bit of
-    the result.
+    the result. R_xy noise grows with |B|, so the slope's variance is the HC1
+    sandwich m/(m-2) sum(dx^2 r^2) / Sxx^2 (MacKinnon & White 1985): the
+    [0, 0] entry of ``fit._sandwich_covariance`` for the design [B, 1], in
+    closed form: the matrix route would triple the call's time.
     """
     B = np.asarray(B, dtype=float)
     R_xy = np.asarray(R_xy, dtype=float)
@@ -81,15 +84,18 @@ def density_from_hall(B, R_xy) -> Measured:
         if not np.isfinite(v).all():
             raise ValueError(f"{name} contains non-finite values")
     order = np.lexsort((R_xy, B))
-    res = linear_fit(B[order], R_xy[order])
-    slope = res.slope
+    x, y = B[order], R_xy[order]
+    dx = x - x.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ y) / sxx
     if slope <= 0.0:
         raise ValueError(
             "non-positive Hall slope: carrier sign does not match the expected electrons"
         )
+    r = y - y.mean() - slope * dx
+    slope_var = x.size / (x.size - 2) * float((dx * dx) @ (r * r)) / (sxx * sxx)
     n = 1.0 / (E_CHARGE * slope)
-    slope_se = math.sqrt(max(res.cov[0, 0], 0.0))
-    return Measured(n, n * slope_se / slope)
+    return Measured(n, n * math.sqrt(slope_var) / slope)
 
 
 def mobility(n_2d: float, sigma_xx: float) -> float:

@@ -351,14 +351,13 @@ def _powerlaw_stage(ds: Dataset, sigma0: list, wl: List[WlTemperature]):
     pts = [(t.T_bath, t.fit.l_phi.value) for t in wl if t.fit.fit.converged and t.T_bath > T_c]
     if len(pts) < 3:
         raise MissingDataError(f"need at least 3 converged fits above T_c = {T_c:g} K")
-    T = np.array([p[0] for p in pts])
-    lp = np.array([p[1] for p in pts])
-    res = fit_coherence_power_law(T, lp)
+    res = fit_coherence_power_law(*np.array(pts).T)
     section = {
         "T_c_K": T_c,
         "n_points": int(len(pts)),
         "exponent": _measured(res.exponent),
         "amplitude_m": _measured(res.amplitude),
+        **_solver(res.fit),
     }
     return section, res
 

@@ -29,6 +29,7 @@ T_MIN_APPARATUS = 0.03  # K, cryostat base temperature
 def _get(parent, key: str, default=None, kind=float):
     """``parent[key]`` as a number, or checked to be a ``kind`` (dict, list or str).
 
+    ``kind`` int takes a non-negative integral number, never truncated.
     ``parent`` must be a JSON object; a key without a ``default`` is required.
     """
     if not isinstance(parent, dict):
@@ -39,6 +40,11 @@ def _get(parent, key: str, default=None, kind=float):
         return default
     if kind is float:
         return _number(key, parent[key])
+    if kind is int:
+        number = _number(key, parent[key])
+        if number < 0.0 or not number.is_integer():
+            raise ValueError(f"config key {key!r} must be a non-negative integer, got {parent[key]!r}")
+        return parent[key] if isinstance(parent[key], int) else int(number)
     if not isinstance(parent[key], kind):
         raise ValueError(f"config key {key!r} has the wrong type, got {parent[key]!r}")
     return parent[key]
@@ -148,7 +154,7 @@ class SynthConfig:
             _known(entry, "T_bath_K theta_deg B_T")
             if isinstance(spec, dict):
                 _known(spec, "start stop num")
-                B = np.linspace(_get(spec, "start"), _get(spec, "stop"), int(_get(spec, "num")))
+                B = np.linspace(_get(spec, "start"), _get(spec, "stop"), _get(spec, "num", kind=int))
             else:
                 B = np.array([_number("B_T", b) for b in spec])
             plan.append(SweepPlanEntry(_get(entry, "T_bath_K"), _get(entry, "theta_deg"), B))
@@ -162,7 +168,7 @@ class SynthConfig:
             l_phi_exponent=_get(law, "exponent"),
             t_sat=_get(d, "t_sat_K", 0.0),
             relative_sigma=_get(noise, "relative_sigma", 0.0),
-            seed=int(_get(noise, "seed", 0)),
+            seed=_get(noise, "seed", 0, int),
             sweep_plan=plan,
             geometry=Geometry(
                 to_si(Quantity(_get(geo, "L_um", 200.0), "um")).value,

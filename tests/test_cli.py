@@ -311,6 +311,29 @@ def test_synth_config_errors_name_the_key(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kwargs, key, value",
+    [({"num": 41.9}, "num", 41.9), ({"seed": 1.7}, "seed", 1.7),
+     ({"num": -1}, "num", -1), ({"seed": -1}, "seed", -1)],
+    ids=["fractional-num", "fractional-seed", "negative-num", "negative-seed"],
+)
+def test_synth_rejects_a_count_that_is_not_a_non_negative_integer(tmp_path, capsys, kwargs, key, value):
+    # int() made 41.9 fields 41 and seed 1.7 seed 1
+    cfg = write_config(tmp_path / "config.json", **kwargs)
+    assert main(["synth", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config key {key!r} must be a non-negative integer, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_takes_an_integral_float_count(tmp_path):
+    # 41.0 is the count 41, as a JSON reader may write it
+    cfg = write_config(tmp_path / "config.json", num=41.0, seed=3.0)
+    cfg_int = write_config(tmp_path / "config_int.json", num=41, seed=3)
+    assert main(["synth", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert main(["synth", str(cfg_int), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "S1_sweeps.csv").read_bytes() == (tmp_path / "b" / "S1_sweeps.csv").read_bytes()
+
+
 def _misspelled_plan_entry(d, key, where=None):
     """``d`` with a key ``key`` added to its first plan entry, or to that entry's ``where``."""
     first = dict(d["sweep_plan"][0])

@@ -15,37 +15,9 @@ from deltamag import (
     fit_wl_difference,
     gamma_param,
     levmar,
-    linear_fit,
     wl_inplane,
     wl_perp,
 )
-
-
-# ---------------------------------------------------------------- linear_fit
-
-def test_linear_fit_matches_polyfit():
-    x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    y = np.array([1.1, 2.9, 5.2, 6.8, 9.1, 10.9])
-    res = linear_fit(x, y)
-    b, a = np.polyfit(x, y, 1)
-    assert res.slope == pytest.approx(b, rel=1e-12)
-    assert res.intercept == pytest.approx(a, rel=1e-12)
-
-
-def test_linear_fit_covariance_formula():
-    x = np.array([0.0, 1.0, 2.0, 3.0])
-    y = np.array([0.0, 1.0, 2.0, 3.5])  # one point off the line
-    res = linear_fit(x, y)
-    resid = y - (res.intercept + res.slope * x)
-    s2 = resid @ resid / (len(x) - 2)
-    sxx = np.sum((x - x.mean()) ** 2)
-    assert res.cov[0, 0] == pytest.approx(s2 / sxx, rel=1e-12)
-    assert res.cov[1, 1] == pytest.approx(s2 * (1.0 / len(x) + x.mean() ** 2 / sxx), rel=1e-12)
-
-
-def test_linear_fit_needs_spread():
-    with pytest.raises(ValueError):
-        linear_fit(np.ones(5), np.arange(5.0))
 
 
 # --------------------------------------------------------------------- levmar
@@ -200,10 +172,12 @@ def test_levmar_covariance_matches_linear_theory():
     y = 2.0 + 3.0 * x + 0.3 * rng.standard_normal(x.size)
     design = np.column_stack([np.ones_like(x), x])
     res = levmar(Residual(lambda p: (p[0] + p[1] * x) - y, lambda p: design), np.zeros(2))
-    ref = linear_fit(x, y)
-    assert res.params[1] == pytest.approx(ref.slope, rel=1e-9)
-    # same chi-square scaling convention as the closed-form route
-    assert res.covariance[1, 1] == pytest.approx(ref.cov[0, 0], rel=1e-6)
+    # closed-form OLS: slope Sxy / Sxx, and its variance chi^2 / (m - 2) / Sxx
+    dx = x - x.mean()
+    slope = dx @ y / (dx @ dx)
+    resid = y - y.mean() - slope * dx
+    assert res.params[1] == pytest.approx(slope, rel=1e-9)
+    assert res.covariance[1, 1] == pytest.approx(resid @ resid / (x.size - 2) / (dx @ dx), rel=1e-6)
 
 
 def eager_covariance(res, x_scale):
@@ -443,6 +417,29 @@ def test_power_law_exact():
     assert fit.amplitude.value == pytest.approx(35.5e-9, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_temps", [3, 4, 8])
+def test_power_law_is_the_closed_form_line_fit(n_temps):
+    # the least-squares line through (ln T, ln l_phi) and its chi-square stderrs
+    rng = np.random.default_rng(n_temps)
+    T = np.geomspace(0.3, 4.0, n_temps)
+    lp = 35.5e-9 * T**-0.31 * (1.0 + 0.05 * rng.standard_normal(n_temps))
+    fit = fit_coherence_power_law(T, lp)
+    x, y = np.log(T), np.log(lp)
+    dx = x - x.mean()
+    sxx = dx @ dx
+    slope = dx @ y / sxx
+    intercept = y.mean() - slope * x.mean()
+    resid = y - (slope * x + intercept)
+    s2 = resid @ resid / max(n_temps - 2, 1)
+    amp = math.exp(intercept)
+    assert fit.exponent.value == pytest.approx(slope, rel=1e-12)
+    assert fit.exponent.stderr == pytest.approx(math.sqrt(s2 / sxx), rel=1e-12)
+    assert fit.amplitude.value == pytest.approx(amp, rel=1e-12)
+    se_ln_amp = math.sqrt(s2 * (1.0 / n_temps + x.mean() ** 2 / sxx))
+    assert fit.amplitude.stderr == pytest.approx(amp * se_ln_amp, rel=1e-12)
+    assert fit.fit.converged
+
+
 def test_power_law_validation():
     with pytest.raises(ValueError, match="at least 3"):
         fit_coherence_power_law(np.array([0.3, 0.5]), np.array([1e-9, 1e-9]))
@@ -450,6 +447,24 @@ def test_power_law_validation():
         fit_coherence_power_law(np.array([0.3, -0.5, 1.0]), np.full(3, 1e-9))
     with pytest.raises(ValueError, match="positive"):
         fit_coherence_power_law(np.array([0.3, 0.5, 1.0]), np.array([1e-9, 0.0, 1e-9]))
+    with pytest.raises(ValueError, match="identical"):
+        fit_coherence_power_law(np.full(3, 0.5), np.array([1e-9, 2e-9, 3e-9]))
+
+
+@pytest.mark.parametrize(
+    "T, l_phi, name",
+    [
+        ([0.4, math.nan, 1.0], [3e-8, 2e-8, 1e-8], "T"),
+        ([0.4, math.inf, 1.0], [3e-8, 2e-8, 1e-8], "T"),
+        ([0.4, 0.7, 1.0], [3e-8, math.nan, 1e-8], "l_phi"),
+        ([0.4, 0.7, 1.0], [3e-8, 2e-8, math.inf], "l_phi"),
+    ],
+    ids=["nan-T", "inf-T", "nan-l_phi", "inf-l_phi"],
+)
+def test_power_law_rejects_nonfinite_input(T, l_phi, name):
+    # the T <= 0 and l_phi <= 0 guards are False for NaN, which once gave a NaN fit
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+        fit_coherence_power_law(np.array(T), np.array(l_phi))
 
 
 # ------------------------------------------------------------ pinned WL path

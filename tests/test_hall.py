@@ -14,6 +14,7 @@ from deltamag import (
     mobility,
 )
 from deltamag.constants import E_CHARGE, G0, HBAR
+from deltamag.fit import _sandwich_covariance
 
 GEO = Geometry(200e-6, 20e-6)
 
@@ -48,6 +49,29 @@ def test_density_noise_coverage():
         if abs(m.value - 1.18e17) / 1.18e17 < 0.01:
             hits += 1
     assert hits >= 950
+
+
+def test_density_stderr_covers_the_truth_at_its_nominal_rate():
+    # multiplicative noise grows with |B|; a uniform-noise stderr covered
+    # the truth about 55% of the time here, with a median |z| near 0.9
+    z = np.empty(2000)
+    for seed in range(z.size):
+        m = density_from_hall(*make_sweep(1.18e17, noise=0.01, seed=seed))
+        z[seed] = (m.value - 1.18e17) / m.stderr
+    # the 3-sigma binomial band around 0.683 for 2000 draws
+    assert 0.651 <= np.mean(np.abs(z) <= 1.0) <= 0.714
+    assert np.median(np.abs(z)) == pytest.approx(0.674, abs=0.06)
+
+
+def test_density_stderr_is_the_sandwich_of_the_line_fit():
+    # the closed form is the [0, 0] entry of the HC1 sandwich for the design [B, 1]
+    for seed in range(200):
+        B, R_xy = make_sweep(1.18e17, n_points=20 + seed % 40, noise=0.01, seed=seed)
+        m = density_from_hall(B, R_xy)
+        slope = 1.0 / (E_CHARGE * m.value)
+        r = R_xy - (slope * B + (R_xy.mean() - slope * B.mean()))
+        ref = _sandwich_covariance(np.column_stack([B, np.ones(B.size)]), r, np.ones(2))[0, 0]
+        assert (slope * m.stderr / m.value) ** 2 == pytest.approx(ref, rel=1e-12)
 
 
 def test_density_does_not_depend_on_the_reading_order():

@@ -243,8 +243,8 @@ def test_collapse_leaves_out_an_unconverged_temperature(clean_run, monkeypatch):
 
 
 def test_report_solver_keys_are_the_fits_own(clean_run, monkeypatch):
-    # each WL row and the collapse section hold their levmar FitResult's record
-    wl_fits, collapses = [], []
+    # each WL row, the power law and the collapse hold their levmar FitResult's record
+    wl_fits, powerlaws, collapses = [], [], []
 
     def kept(real, into):
         def call(*args, **kwargs):
@@ -253,11 +253,13 @@ def test_report_solver_keys_are_the_fits_own(clean_run, monkeypatch):
         return call
 
     monkeypatch.setattr(pipeline, "fit_wl_difference", kept(pipeline.fit_wl_difference, wl_fits))
+    monkeypatch.setattr(pipeline, "fit_coherence_power_law", kept(pipeline.fit_coherence_power_law, powerlaws))
     monkeypatch.setattr(pipeline, "collapse_teff", kept(pipeline.collapse_teff, collapses))
     stages = run_analysis(clean_run["ds"]).stages
     rows = stages["wl"]["per_temperature"]
-    pairs = [(row, res.fit) for row, res in zip(rows, wl_fits)] + [(stages["collapse"], collapses[0].fit)]
-    assert len(pairs) == len(TEMPS) + 1
+    pairs = [(row, res.fit) for row, res in zip(rows, wl_fits)] + [
+        (stages["powerlaw"], powerlaws[0].fit), (stages["collapse"], collapses[0].fit)]
+    assert len(pairs) == len(TEMPS) + 2
     for section, fit in pairs:
         for key in ("converged", "iterations", "nfev", "reason"):
             assert type(section[key]) is type(getattr(fit, key)), key
